@@ -410,13 +410,17 @@ def cmd_microscopic(config, out, formats, seed_override=None):
     sweep_rows = []
     slope = None
     if schema.get("sweep"):
-        sweep_rows = microscopic.omega_t_sweep(
-            microscopic.pinned_phase_omega_t(),
-            bins=schema.get("sweep_bins"),
-            target_coupling=schema.get("target_coupling"),
-            pulse_duration=schema.get("pulse_duration"),
-            collective_spin=schema.get("collective_spin"),
-        )
+        try:
+            sweep_rows = microscopic.omega_t_sweep(
+                microscopic.pinned_phase_omega_t(),
+                bins=schema.get("sweep_bins"),
+                target_coupling=schema.get("target_coupling"),
+                pulse_duration=schema.get("pulse_duration"),
+                collective_spin=schema.get("collective_spin"),
+            )
+        except ValueError as exc:
+            # the other keys already built valid params above
+            raise ConfigError(f"microscopic: bad value for 'sweep_bins': {exc}")
         slope = float(
             np.polyfit(
                 np.log([r["omega_t"] for r in sweep_rows]),

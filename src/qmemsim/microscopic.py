@@ -77,6 +77,13 @@ class PhysicalParams:
     bins: int = 10_000
 
     def __post_init__(self):
+        numbers = ["coupling_per_atom", "collective_spin", "larmor_frequency",
+                   "pulse_duration"]
+        if not callable(self.photon_flux):
+            numbers.append("photon_flux")
+        for name in numbers:
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         if self.pulse_duration <= 0:
             raise ValueError("pulse duration must be positive")
         if self.collective_spin < 0:
@@ -303,6 +310,8 @@ def theoretical_coupling(params):
 
 def tuned_params(target_coupling=1.0, **overrides):
     """Parameters whose theoretical coupling equals ``target_coupling``."""
+    if not np.isfinite(target_coupling):
+        raise ValueError("target_coupling must be finite")
     probe = PhysicalParams(coupling_per_atom=1.0, **overrides)
     k_unit = theoretical_coupling(probe)
     if k_unit == 0:

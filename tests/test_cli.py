@@ -178,6 +178,20 @@ class TestMicroscopic:
         report = json.loads((tmp_path / "out" / "microscopic.json").read_text())
         assert report["leakage_loglog_slope"] is None
 
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ({"sweep_bins": 100}, "sweep_bins"),
+            ({"sweep_bins": 5}, "sweep_bins"),
+            ({"target_coupling": float("nan")}, "target_coupling"),
+            ({"larmor_frequency": float("nan")}, "larmor_frequency"),
+        ],
+    )
+    def test_bad_value_exit_two(self, tmp_path, capsys, config, key):
+        assert run(tmp_path, "microscopic", {"bins": 4096, **config}) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out" / "microscopic.json").exists()
+
 
 class TestLifetime:
     def test_crossing_and_monotonicity(self, tmp_path):

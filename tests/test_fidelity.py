@@ -158,7 +158,9 @@ class TestAverageFidelity:
     def test_nonconvergence_raises_with_node_counts(self):
         quad = QuadratureSpec(radial_nodes=2, tol=1e-30, max_doublings=2)
         with pytest.raises(RuntimeError, match="nodes"):
-            average_fidelity(CoherentSet(0, 8), IDEAL_CSS, quad)
+            average_fidelity(
+                CoherentSet(0, 8), ChannelSummary(0.9, 0.9, 0.8, 0.6), quad
+            )
 
 
 class TestClassicalFidelity:

@@ -4,13 +4,24 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qmemsim import _kernels_py, kernels
+from qmemsim import kernels
 from qmemsim.rng import BlockRandomSource, stream_key, trial_normals
 
-try:
-    from qmemsim import _kernels
-except ImportError:
-    _kernels = None
+
+def loop_bin_sweep(kappa_cos, kappa_sin, vectors):
+    """Reference sweep: the documented per-bin kicks, one bin at a time."""
+    n_bins = kappa_cos.shape[0]
+    base = 2 * n_bins
+    xa, pa, xb, pb = base, base + 1, base + 2, base + 3
+    for i in range(n_bins):
+        kc = kappa_cos[i]
+        ks = kappa_sin[i]
+        xi = 2 * i
+        pi = xi + 1
+        vectors[xi] += kc * vectors[pa] - ks * vectors[xb]
+        vectors[xa] += kc * vectors[pi]
+        vectors[pb] += ks * vectors[pi]
+    return vectors
 
 
 class TestTrialNormals:
@@ -69,30 +80,25 @@ class TestBlockRandomSource:
 
 class TestKernelBackends:
     def test_selected_backend_reported(self):
-        assert kernels.BACKEND in ("cython", "python")
+        assert kernels.BACKEND == "python"
 
-    @pytest.mark.skipif(_kernels is None, reason="extension not built")
-    def test_bin_sweep_backends_identical(self):
-        rng = np.random.default_rng(0)
-        kc = 0.02 * rng.normal(size=500)
-        ks = 0.02 * rng.normal(size=500)
-        base = rng.normal(size=(1004, 8))
-        out_py = _kernels_py.bin_sweep(kc, ks, base.copy())
-        out_cy = _kernels.bin_sweep(kc, ks, np.ascontiguousarray(base.copy()))
-        assert np.array_equal(out_py, np.asarray(out_cy))
-
-    @pytest.mark.skipif(_kernels is None, reason="extension not built")
-    def test_two_stage_backends_identical(self):
-        rng = np.random.default_rng(1)
-        z1 = rng.normal(size=10_000)
-        z2 = rng.normal(size=10_000)
-        args = (0.37, 1.21, -0.53, 0.78, 0.94)
-        o1a, o2a = np.empty(10_000), np.empty(10_000)
-        o1b, o2b = np.empty(10_000), np.empty(10_000)
-        _kernels_py.two_stage_outcomes(z1, z2, *args, o1a, o2a)
-        _kernels.two_stage_outcomes(z1, z2, *args, o1b, o2b)
-        assert np.array_equal(o1a, o1b)
-        assert np.array_equal(o2a, o2b)
+    @pytest.mark.parametrize(
+        "bins, columns",
+        [
+            (10, 1),
+            (10_000, 1),  # one column: numpy would sum a reduce pairwise
+            (40_000, 8),  # several blocks
+            (3 * (kernels._BLOCK_CELLS // 8) + 17, 8),  # last block partial
+            (1200, 2404),  # the dense matrix() path
+        ],
+    )
+    def test_bin_sweep_matches_loop_bit_for_bit(self, bins, columns):
+        rng = np.random.default_rng(bins + columns)
+        kc = 0.02 * rng.normal(size=bins)
+        ks = 0.02 * rng.normal(size=bins)
+        base = rng.normal(size=(2 * bins + 4, columns))
+        expected = loop_bin_sweep(kc, ks, base.copy())
+        assert np.array_equal(kernels.bin_sweep(kc, ks, base), expected)
 
     def test_python_bin_sweep_small_example(self):
         # one bin, cosine weight only: x0 += kc * P_A, X_A += kc * p0
@@ -100,21 +106,8 @@ class TestKernelBackends:
         ks = np.array([0.0])
         vectors = np.zeros((6, 6))
         np.fill_diagonal(vectors, 1.0)
-        out = _kernels_py.bin_sweep(kc, ks, vectors)
+        out = kernels.bin_sweep(kc, ks, vectors)
         expected = np.eye(6)
         expected[0, 3] = 0.5  # x0 row picks up P_A column
         expected[2, 1] = 0.5  # X_A row picks up p0 column
         assert_allclose(out, expected)
-
-    def test_env_override_forces_python(self, tmp_path):
-        import subprocess
-        import sys
-
-        code = (
-            "import os; os.environ['QMEMSIM_PURE_PYTHON']='1'; "
-            "from qmemsim import kernels; print(kernels.BACKEND)"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True
-        )
-        assert result.stdout.strip() == "python"
