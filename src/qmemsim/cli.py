@@ -61,6 +61,15 @@ def _write_csv(path, header, rows):
             writer.writerow([_fmt(v) for v in row])
 
 
+def _write_trials_csv(path, series):
+    """``trials.csv`` from the columns; the bytes :func:`_write_csv` gives."""
+    with open(path, "w", newline="") as fh:
+        fh.write("trial_id,arm,feedback_outcome,verification_outcome\n")
+        for s in series:
+            rows = enumerate(zip(s.feedback.tolist(), s.verification.tolist()))
+            fh.writelines(f"{i},{s.arm},{f:.17g},{v:.17g}\n" for i, (f, v) in rows)
+
+
 def _jsonify(obj):
     if isinstance(obj, dict):
         return {k: _jsonify(v) for k, v in obj.items()}
@@ -116,6 +125,23 @@ class _Schema:
 _REQUIRED = object()
 
 
+def _finite(raw):
+    value = float(raw)
+    if not np.isfinite(value):
+        raise ValueError(f"{value} is not finite")
+    return value
+
+
+def _at_least(low):
+    def convert(raw):
+        value = int(raw)
+        if value < low:
+            raise ValueError(f"{value} is below {low}")
+        return value
+
+    return convert
+
+
 def _storage_params(schema):
     try:
         return StorageParams(
@@ -143,11 +169,11 @@ def cmd_store(config, out, formats, seed_override=None):
         "store",
         config,
         {
-            "input_x": (float, _REQUIRED),
-            "input_p": (float, _REQUIRED),
-            "n_trials": (int, 10_000),
+            "input_x": (_finite, _REQUIRED),
+            "input_p": (_finite, _REQUIRED),
+            "n_trials": (_at_least(montecarlo.MIN_TRIALS), 10_000),
             "seed": (int, 0),
-            "histogram_bins": (int, 60),
+            "histogram_bins": (_at_least(montecarlo.MIN_BINS), 60),
             **_STORAGE_FIELDS,
         },
     )
@@ -162,12 +188,11 @@ def cmd_store(config, out, formats, seed_override=None):
         for arm in (montecarlo.ARM_P, montecarlo.ARM_X)
     }
     k_r = params.readout_coupling
-    scales = {montecarlo.ARM_P: 1.0 / k_r, montecarlo.ARM_X: -1.0 / k_r}
     hists = {}
-    for arm, records in series.items():
+    for arm, trials in series.items():
         ref_mean, ref_sd = montecarlo.ideal_reference(params, arm, input_mean)
         hists[arm] = montecarlo.make_histogram(
-            records, bins=bins, scale=scales[arm],
+            trials, bins=bins, scale=montecarlo.ARM_SIGN[arm] / k_r,
             ref_mean=ref_mean, ref_sd=ref_sd,
         )
     recon = montecarlo.estimate_channel(
@@ -177,15 +202,7 @@ def cmd_store(config, out, formats, seed_override=None):
     written = []
     if "csv" in formats:
         path = out / "trials.csv"
-        _write_csv(
-            path,
-            ["trial_id", "arm", "feedback_outcome", "verification_outcome"],
-            (
-                (r.trial_id, r.arm, r.feedback_outcome, r.verification_outcome)
-                for arm in (montecarlo.ARM_P, montecarlo.ARM_X)
-                for r in series[arm]
-            ),
-        )
+        _write_trials_csv(path, series.values())
         written.append(path)
         path = out / "histograms.csv"
         _write_csv(
@@ -249,11 +266,21 @@ def cmd_fidelity(config, out, formats, seed_override=None):
             "gain_p": (float, None),
             "var_x": (float, None),
             "var_p": (float, None),
-            "quad_tol": (float, 1e-10),
+            "quad_tol": (_finite, 1e-10),
         },
     )
-    cset = CoherentSet(schema.get("n_min"), schema.get("n_max"))
-    quad = QuadratureSpec(tol=schema.get("quad_tol"))
+    channel_keys = [schema.get(k) for k in ("gain_x", "gain_p", "var_x", "var_p")]
+    configured = all(v is not None for v in channel_keys)
+    if not configured and any(v is not None for v in channel_keys):
+        raise ConfigError(
+            "fidelity: provide all of gain_x, gain_p, var_x, var_p or none"
+        )
+    try:
+        cset = CoherentSet(schema.get("n_min"), schema.get("n_max"))
+        quad = QuadratureSpec(tol=schema.get("quad_tol"))
+        channel = ChannelSummary(*channel_keys) if configured else None
+    except ValueError as exc:
+        raise ConfigError(f"fidelity: {exc}")
 
     rows = []
     ideal = ChannelSummary(1.0, 1.0, 1.0, 0.5)
@@ -261,16 +288,10 @@ def cmd_fidelity(config, out, formats, seed_override=None):
         ("ideal_css_protocol", 1.0, 1.0, 1.0, 0.5,
          average_fidelity(cset, ideal, quad))
     )
-    channel_keys = [schema.get(k) for k in ("gain_x", "gain_p", "var_x", "var_p")]
-    if all(v is not None for v in channel_keys):
-        channel = ChannelSummary(*channel_keys)
+    if configured:
         rows.append(
             ("configured_channel", *channel_keys,
              average_fidelity(cset, channel, quad))
-        )
-    elif any(v is not None for v in channel_keys):
-        raise ConfigError(
-            "fidelity: provide all of gain_x, gain_p, var_x, var_p or none"
         )
     g_opt, f_max = optimize_classical_gain(cset.n_min, cset.n_max)
     rows.append(("classical_optimum", None, None, None, None, f_max))

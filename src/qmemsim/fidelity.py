@@ -10,6 +10,7 @@ available in closed form and caps at 1/2 for unrestricted inputs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +38,8 @@ class CoherentSet:
     n_max: float
 
     def __post_init__(self):
-        if not (self.n_max > self.n_min >= 0):
-            raise ValueError("need n_max > n_min >= 0")
+        if not (np.isfinite(self.n_max) and self.n_max > self.n_min >= 0):
+            raise ValueError("need finite n_max > n_min >= 0")
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,7 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.radial_nodes < 2 or self.angular_nodes < 2:
             raise ValueError("need at least two nodes per axis")
-        if self.tol <= 0:
+        if not self.tol > 0:  # also rejects NaN, which never converges
             raise ValueError("tolerance must be positive")
 
 
@@ -92,6 +93,15 @@ def _channel_exponents(channel):
     return u, v, 2.0 / np.sqrt(ax * ap)
 
 
+@functools.lru_cache(maxsize=64)
+def _gauss_legendre(nodes):
+    """Read-only Gauss-Legendre nodes and weights, shared between calls."""
+    xg, wg = leggauss(nodes)
+    xg.flags.writeable = False
+    wg.flags.writeable = False
+    return xg, wg
+
+
 def _radial_estimate(cset, u, v, prefactor, nodes):
     """Gauss-Legendre estimate of the phase-averaged overlap integral.
 
@@ -101,7 +111,7 @@ def _radial_estimate(cset, u, v, prefactor, nodes):
     numerical stability at large exponents.
     """
     s1, s2 = 2.0 * cset.n_min, 2.0 * cset.n_max  # alpha^2 range
-    xg, wg = leggauss(nodes)
+    xg, wg = _gauss_legendre(nodes)
     s = 0.5 * (s2 - s1) * xg + 0.5 * (s2 + s1)
     w = 0.5 * (s2 - s1) * wg
     half_sum = 0.5 * (u + v) * s
@@ -145,7 +155,7 @@ def average_fidelity_grid(cset, channel, quad=None):
     s1, s2 = 2.0 * cset.n_min, 2.0 * cset.n_max
 
     def estimate(n_rad, n_ang):
-        xg, wg = leggauss(n_rad)
+        xg, wg = _gauss_legendre(n_rad)
         s = 0.5 * (s2 - s1) * xg + 0.5 * (s2 + s1)
         w = 0.5 * (s2 - s1) * wg
         phi = np.linspace(0.0, 2.0 * np.pi, n_ang, endpoint=False)

@@ -310,8 +310,8 @@ def theoretical_coupling(params):
 
 def tuned_params(target_coupling=1.0, **overrides):
     """Parameters whose theoretical coupling equals ``target_coupling``."""
-    if not np.isfinite(target_coupling):
-        raise ValueError("target_coupling must be finite")
+    if not (np.isfinite(target_coupling) and target_coupling > 0):
+        raise ValueError("target_coupling must be finite and > 0")
     probe = PhysicalParams(coupling_per_atom=1.0, **overrides)
     k_unit = theoretical_coupling(probe)
     if k_unit == 0:

@@ -8,12 +8,12 @@ the same run: the "p" arm reads the stored P directly, the "x" arm
 applies the rotation first so the stored X lands on the readable
 quadrature (with a sign flip from the rotation convention).
 
-Trial randomness is counter-based (see :mod:`qmemsim.rng`): records for
-a given seed are bit-identical under any chunking or parallel schedule.
-The per-trial sampler exploits that the conditional means are affine in
-earlier outcomes; the coefficients are extracted once per series from
-the exact conditional-Gaussian pipeline, and a literal per-trial
-replay of that pipeline is kept as `_run_series_reference` for tests.
+Each arm's series is two columns (:class:`TrialSeries`), bit-identical
+for a given seed under any chunking, since trial randomness is
+counter-based (see :mod:`qmemsim.rng`).  The sampler exploits that the
+conditional means are affine in earlier outcomes; the coefficients are
+extracted once per series from the exact conditional-Gaussian pipeline,
+and a literal per-trial replay of it is kept as `_run_series_reference`.
 """
 
 from __future__ import annotations
@@ -38,7 +38,10 @@ from .rng import BlockRandomSource, stream_key, trial_normals
 __all__ = [
     "ARM_P",
     "ARM_X",
-    "TrialRecord",
+    "ARM_SIGN",
+    "MIN_TRIALS",
+    "MIN_BINS",
+    "TrialSeries",
     "HistogramSeries",
     "ReconstructedState",
     "run_series",
@@ -50,18 +53,22 @@ __all__ = [
 ARM_P = "p"  # verify the stored P (no rotation)
 ARM_X = "x"  # verify the stored X (quarter-cycle rotation first)
 _ARM_TAGS = {ARM_P: 0, ARM_X: 1}
+ARM_SIGN = {ARM_P: 1.0, ARM_X: -1.0}  # readout sign of the stored quadrature
 
-_MIN_TRIALS_FOR_ESTIMATE = 100
+MIN_TRIALS = 100  # per arm, for estimate_channel
+MIN_BINS = 5  # for make_histogram
 
 
-@dataclass(frozen=True, slots=True)
-class TrialRecord:
-    """One storage sequence: feedback record and verification record."""
+@dataclass(frozen=True, eq=False)
+class TrialSeries:
+    """One arm's feedback and verification records; row ``i`` is trial ``i``."""
 
-    trial_id: int
     arm: str
-    feedback_outcome: float
-    verification_outcome: float
+    feedback: np.ndarray
+    verification: np.ndarray
+
+    def __len__(self):
+        return self.verification.size
 
 
 @dataclass(frozen=True)
@@ -121,10 +128,10 @@ def _series_coefficients(input_mean, params, arm):
 
 
 def run_series(input_mean, params, arm, n_trials, seed, chunk_size=1 << 16):
-    """Simulate a verification series; returns one record per trial.
+    """Simulate a verification series; returns its :class:`TrialSeries`.
 
     ``input_mean`` is the (x, p) mean of the coherent input, ``arm`` is
-    :data:`ARM_P` or :data:`ARM_X`.  For a fixed seed the records are
+    :data:`ARM_P` or :data:`ARM_X`.  For a fixed seed the columns are
     deterministic and independent of ``chunk_size``.
     """
     if arm not in _ARM_TAGS:
@@ -136,22 +143,16 @@ def run_series(input_mean, params, arm, n_trials, seed, chunk_size=1 << 16):
     )
     key = stream_key(seed, _ARM_TAGS[arm])
 
-    records = []
+    feedback = np.empty(n_trials)
+    verification = np.empty(n_trials)
     for start in range(0, n_trials, chunk_size):
-        count = min(chunk_size, n_trials - start)
-        z = trial_normals(key, start, count, width=2)
-        z1 = np.ascontiguousarray(z[:, 0])
-        z2 = np.ascontiguousarray(z[:, 1])
-        out1 = np.empty(count)
-        out2 = np.empty(count)
+        rows = slice(start, min(start + chunk_size, n_trials))
+        z = trial_normals(key, start, rows.stop - start, width=2)
         kernels.two_stage_outcomes(
-            z1, z2, mean1, sd1, offset2, slope2, sd2, out1, out2
+            z[:, 0], z[:, 1], mean1, sd1, offset2, slope2, sd2,
+            feedback[rows], verification[rows],
         )
-        records.extend(
-            TrialRecord(start + i, arm, out1[i], out2[i])
-            for i in range(count)
-        )
-    return records
+    return TrialSeries(arm, feedback, verification)
 
 
 def _run_series_reference(input_mean, params, arm, n_trials, seed):
@@ -164,44 +165,38 @@ def _run_series_reference(input_mean, params, arm, n_trials, seed):
     key = stream_key(seed, _ARM_TAGS[arm])
     z = trial_normals(key, 0, n_trials, width=2)
     light = coherent_state(*input_mean, mode="light")
-    records = []
+    series = TrialSeries(arm, np.empty(n_trials), np.empty(n_trials))
     for i in range(n_trials):
         rng = BlockRandomSource(z[i])
-        outcome, atoms = store_conditional(light, params, rng=rng)
+        series.feedback[i], atoms = store_conditional(light, params, rng=rng)
         if arm == ARM_X:
             atoms = pi_half_pulse(atoms)
         verified = readout_map(atoms, params.readout_coupling)
-        verification, _ = homodyne_measure(verified, VERIFY, "x", rng=rng)
-        records.append(TrialRecord(i, arm, outcome, verification))
-    return records
+        series.verification[i], _ = homodyne_measure(
+            verified, VERIFY, "x", rng=rng
+        )
+    return series
 
 
-def _outcomes(records, arm):
-    if not records:
-        raise ValueError("no records")
-    bad = [r.arm for r in records if r.arm != arm]
-    if bad:
-        raise ValueError(f"expected arm {arm!r}, found {bad[0]!r}")
-    return np.fromiter(
-        (r.verification_outcome for r in records), dtype=float, count=len(records)
-    )
+def _outcomes(series, arm):
+    if series.arm != arm:
+        raise ValueError(f"expected arm {arm!r}, found {series.arm!r}")
+    return series.verification
 
 
-def estimate_channel(records_p, records_x, readout_coupling):
+def estimate_channel(series_p, series_x, readout_coupling):
     """Reconstruct the memory moments from the two verification arms.
 
-    Means are scaled by the readout coupling (the x arm additionally
-    carries the rotation's sign flip); variances pass through
+    Means are scaled by the readout coupling and carry the arm's
+    :data:`ARM_SIGN` (the x arm's rotation flips it); variances pass through
     :func:`~qmemsim.protocol.reconstruct_atomic_variance`.  Standard
     errors are the usual sample-moment errors, the variance one from the
     chi-squared width ``sigma^2 sqrt(2 / (N - 1))``.
     """
-    v_p = _outcomes(records_p, ARM_P)
-    v_x = _outcomes(records_x, ARM_X)
-    if min(v_p.size, v_x.size) < _MIN_TRIALS_FOR_ESTIMATE:
-        raise ValueError(
-            f"need at least {_MIN_TRIALS_FOR_ESTIMATE} trials per arm"
-        )
+    v_p = _outcomes(series_p, ARM_P)
+    v_x = _outcomes(series_x, ARM_X)
+    if min(v_p.size, v_x.size) < MIN_TRIALS:
+        raise ValueError(f"need at least {MIN_TRIALS} trials per arm")
     k_r = readout_coupling
 
     def moments(values, sign):
@@ -213,8 +208,8 @@ def estimate_channel(records_p, records_x, readout_coupling):
         se_var = s2 * np.sqrt(2.0 / (n - 1)) / k_r**2
         return mean, se_mean, var, se_var, n
 
-    mean_p, se_mean_p, var_p, se_var_p, n_p = moments(v_p, +1.0)
-    mean_x, se_mean_x, var_x, se_var_x, n_x = moments(v_x, -1.0)
+    mean_p, se_mean_p, var_p, se_var_p, n_p = moments(v_p, ARM_SIGN[ARM_P])
+    mean_x, se_mean_x, var_x, se_var_x, n_x = moments(v_x, ARM_SIGN[ARM_X])
     return ReconstructedState(
         mean_x=mean_x,
         mean_p=mean_p,
@@ -243,15 +238,13 @@ def ideal_reference(params, arm, input_mean):
     return ref_mean, ref_sd
 
 
-def make_histogram(records, bins=50, scale=1.0, ref_mean=0.0, ref_sd=1.0):
-    """Equal-width histogram of scaled verification outcomes."""
-    if bins < 5:
-        raise ValueError("at least 5 bins required")
-    if not records:
+def make_histogram(series, bins=50, scale=1.0, ref_mean=0.0, ref_sd=1.0):
+    """Equal-width histogram of a series' scaled verification outcomes."""
+    if bins < MIN_BINS:
+        raise ValueError(f"at least {MIN_BINS} bins required")
+    if not len(series):
         raise ValueError("no records to bin")
-    samples = scale * np.fromiter(
-        (r.verification_outcome for r in records), dtype=float, count=len(records)
-    )
+    samples = scale * series.verification
     lo, hi = float(samples.min()), float(samples.max())
     if lo == hi:  # degenerate data still gets a well-formed histogram
         lo, hi = lo - 0.5, hi + 0.5
@@ -259,7 +252,7 @@ def make_histogram(records, bins=50, scale=1.0, ref_mean=0.0, ref_sd=1.0):
     return HistogramSeries(
         bin_edges=edges,
         counts=counts,
-        n_trials=len(records),
+        n_trials=len(series),
         scaled_by=scale,
         ref_mean=ref_mean,
         ref_sd=ref_sd,

@@ -77,8 +77,10 @@ class StorageParams:
     def __post_init__(self):
         if not np.isfinite(self.coupling) or self.coupling < 0:
             raise ValueError("coupling must be finite and >= 0")
-        if self.readout_coupling < 0:
-            raise ValueError("readout_coupling must be >= 0")
+        if not np.isfinite(self.gain):
+            raise ValueError("gain must be finite")
+        if not (np.isfinite(self.readout_coupling) and self.readout_coupling > 0):
+            raise ValueError("readout_coupling must be finite and > 0")
         if self.atom_var_x <= 0 or self.atom_var_p <= 0:
             raise ValueError("initial atomic variances must be positive")
         if self.atom_var_x * self.atom_var_p < 0.25 - 1e-9:
@@ -102,6 +104,9 @@ class ChannelSummary:
     var_p: float
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.var_x <= 0 or self.var_p <= 0:
             raise ValueError("channel variances must be positive")
 

@@ -3,11 +3,16 @@
 import csv
 import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qmemsim.cli import main
+import qmemsim
+from qmemsim.cli import _write_csv, _write_trials_csv, main
+from qmemsim.montecarlo import ARM_P, ARM_X, TrialSeries
 
 
 def run(tmp_path, command, config=None, extra=()):
@@ -90,6 +95,45 @@ class TestStore:
         code = main(["store", "--config", str(path), "--out", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("readout_coupling", 0.0),
+            ("readout_coupling", float("nan")),
+            ("gain", float("nan")),
+            ("input_x", float("inf")),
+            ("n_trials", 0),
+            ("n_trials", 50),
+            ("histogram_bins", 3),
+        ],
+    )
+    def test_bad_value_exit_two(self, tmp_path, capsys, key, value):
+        assert run(tmp_path, "store", {**STORE_CONFIG, key: value}) == 2
+        assert key in capsys.readouterr().err
+        assert not any((tmp_path / "out").iterdir())
+
+    def test_trials_writer_matches_generic_csv(self, tmp_path):
+        values = np.array([-0.0, 5e-324, -5e-324, 1e308, -1e308, -2.5,
+                           -1 / 3, 0.1, np.inf, -np.inf, np.nan])
+        series = [
+            TrialSeries(ARM_P, values, -values[::-1]),
+            TrialSeries(ARM_X, values[::-1], values),
+        ]
+        _write_trials_csv(tmp_path / "columns.csv", series)
+        _write_csv(
+            tmp_path / "rows.csv",
+            ["trial_id", "arm", "feedback_outcome", "verification_outcome"],
+            (
+                (i, s.arm, f, v)
+                for s in series
+                for i, (f, v) in enumerate(zip(s.feedback, s.verification))
+            ),
+        )
+        columns = (tmp_path / "columns.csv").read_bytes()
+        assert columns == (tmp_path / "rows.csv").read_bytes()
+        assert b"\n0,p,-0,nan\n" in columns
+        assert b"\n1,x,-inf,4.9406564584124654e-324\n" in columns
+
 
 class TestFidelity:
     def test_anchor_rows(self, tmp_path):
@@ -127,6 +171,31 @@ class TestFidelity:
     def test_partial_channel_rejected(self, tmp_path, capsys):
         assert run(tmp_path, "fidelity", {"gain_x": 1.0}) == 2
         assert "gain" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ({"gain_x": float("nan"), "gain_p": 1.0, "var_x": 1.0,
+              "var_p": 0.5}, "gain_x"),
+            ({"quad_tol": float("nan")}, "quad_tol"),
+            ({"n_min": 5.0, "n_max": 2.0}, "n_min"),
+        ],
+    )
+    def test_bad_value_exit_two_without_hanging(self, tmp_path, config, key):
+        # a NaN channel or tolerance once doubled the quadrature nodes
+        # without bound, so the run goes to a subprocess under a timeout
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        src = Path(qmemsim.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "qmemsim.cli", "fidelity",
+             "--config", str(path), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=60,
+            env={"PATH": "", "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert key in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_byte_identical_rerun(self, tmp_path):
         assert run(tmp_path, "fidelity") == 0
@@ -185,6 +254,8 @@ class TestMicroscopic:
             ({"sweep_bins": 5}, "sweep_bins"),
             ({"target_coupling": float("nan")}, "target_coupling"),
             ({"larmor_frequency": float("nan")}, "larmor_frequency"),
+            ({"target_coupling": 0.0}, "target_coupling"),
+            ({"target_coupling": -1.0}, "target_coupling"),
         ],
     )
     def test_bad_value_exit_two(self, tmp_path, capsys, config, key):

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from qmemsim.montecarlo import (
     ARM_P,
     ARM_X,
-    TrialRecord,
+    TrialSeries,
     _run_series_reference,
     estimate_channel,
     ideal_reference,
@@ -17,46 +19,52 @@ from qmemsim.montecarlo import (
 from qmemsim.protocol import StorageParams, store_channel
 
 
+def series(arm, verification):
+    """A series with the given verification column and zero feedback."""
+    verification = np.asarray(verification, dtype=float)
+    return TrialSeries(arm, np.zeros_like(verification), verification)
+
+
 class TestRunSeries:
-    def test_chunking_does_not_change_records(self):
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_chunking_does_not_change_records(self, data):
+        n = data.draw(st.integers(1, 2000), label="n_trials")
+        chunk = data.draw(st.integers(1, n), label="chunk_size")
         params = StorageParams()
-        a = run_series((1.0, 2.0), params, ARM_P, 500, seed=3, chunk_size=64)
-        b = run_series((1.0, 2.0), params, ARM_P, 500, seed=3, chunk_size=500)
-        c = run_series((1.0, 2.0), params, ARM_P, 500, seed=3, chunk_size=1)
-        assert a == b == c
+        whole = run_series((1.0, 2.0), params, ARM_P, n, seed=3, chunk_size=n)
+        split = run_series((1.0, 2.0), params, ARM_P, n, seed=3, chunk_size=chunk)
+        assert len(split) == n
+        assert np.array_equal(split.feedback, whole.feedback)
+        assert np.array_equal(split.verification, whole.verification)
 
     def test_seeds_and_arms_are_independent_streams(self):
         params = StorageParams()
         a = run_series((0.0, 0.0), params, ARM_P, 50, seed=1)
         b = run_series((0.0, 0.0), params, ARM_P, 50, seed=2)
         c = run_series((0.0, 0.0), params, ARM_X, 50, seed=1)
-        assert a != b
-        assert [r.feedback_outcome for r in a] != [
-            r.feedback_outcome for r in c
-        ]
+        assert not np.array_equal(a.verification, b.verification)
+        assert not np.array_equal(a.feedback, c.feedback)
 
     def test_single_trial_reproduces_conditional_pipeline(self):
         params = StorageParams(coupling=0.9, gain=0.8)
         fast = run_series((1.5, -0.5), params, ARM_X, 1, seed=11)
         slow = _run_series_reference((1.5, -0.5), params, ARM_X, 1, seed=11)
-        assert fast[0].feedback_outcome == pytest.approx(
-            slow[0].feedback_outcome, abs=1e-12
-        )
-        assert fast[0].verification_outcome == pytest.approx(
-            slow[0].verification_outcome, abs=1e-12
+        assert fast.arm == slow.arm == ARM_X
+        assert fast.feedback[0] == pytest.approx(slow.feedback[0], abs=1e-12)
+        assert fast.verification[0] == pytest.approx(
+            slow.verification[0], abs=1e-12
         )
 
     def test_matches_reference_path_on_batch(self):
         params = StorageParams(coupling=1.2, gain=0.7, readout_coupling=0.8)
         fast = run_series((0.5, 1.0), params, ARM_P, 300, seed=21)
         slow = _run_series_reference((0.5, 1.0), params, ARM_P, 300, seed=21)
-        for f, s in zip(fast, slow):
-            assert f.feedback_outcome == pytest.approx(
-                s.feedback_outcome, abs=1e-12
-            )
-            assert f.verification_outcome == pytest.approx(
-                s.verification_outcome, abs=1e-12
-            )
+        assert len(fast) == len(slow) == 300
+        np.testing.assert_allclose(fast.feedback, slow.feedback, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            fast.verification, slow.verification, rtol=0, atol=1e-12
+        )
 
     def test_histogram_centers_for_displaced_input(self):
         # input (0, -4): the P readout centers at 0, the X readout
@@ -65,8 +73,8 @@ class TestRunSeries:
         n = 20_000
         rp = run_series((0.0, -4.0), params, ARM_P, n, seed=5)
         rx = run_series((0.0, -4.0), params, ARM_X, n, seed=5)
-        vp = np.array([r.verification_outcome for r in rp])
-        vx = -np.array([r.verification_outcome for r in rx])
+        vp = rp.verification
+        vx = -rx.verification
         assert abs(vp.mean()) < 4 * vp.std(ddof=1) / np.sqrt(n)
         assert abs(vx.mean() - (-4.0)) < 4 * vx.std(ddof=1) / np.sqrt(n)
 
@@ -103,8 +111,8 @@ class TestEstimateChannel:
         assert gain_x == pytest.approx(0.84, abs=4 * est.se_mean_x / 3.0)
 
     def test_degenerate_records_flag_negative_variance(self):
-        rp = [TrialRecord(i, ARM_P, 0.0, 1.3) for i in range(200)]
-        rx = [TrialRecord(i, ARM_X, 0.0, -0.4) for i in range(200)]
+        rp = series(ARM_P, np.full(200, 1.3))
+        rx = series(ARM_X, np.full(200, -0.4))
         with pytest.warns(UserWarning, match="negative"):
             est = estimate_channel(rp, rx, 1.0)
         assert est.var_p == pytest.approx(-0.5)
@@ -113,43 +121,39 @@ class TestEstimateChannel:
         assert est.mean_x == pytest.approx(0.4)
 
     def test_insufficient_trials_rejected(self):
-        rp = [TrialRecord(i, ARM_P, 0.0, 0.0) for i in range(99)]
-        rx = [TrialRecord(i, ARM_X, 0.0, 0.0) for i in range(200)]
+        rp = series(ARM_P, np.zeros(99))
+        rx = series(ARM_X, np.zeros(200))
         with pytest.raises(ValueError, match="at least"):
             estimate_channel(rp, rx, 1.0)
+        with pytest.raises(ValueError, match="at least"):
+            estimate_channel(series(ARM_P, []), rx, 1.0)
 
     def test_mixed_arms_rejected(self):
-        rp = [TrialRecord(i, ARM_P, 0.0, 0.0) for i in range(200)]
+        rp = series(ARM_P, np.zeros(200))
         with pytest.raises(ValueError, match="arm"):
             estimate_channel(rp, rp, 1.0)  # second argument is x-arm
         # passing the arms swapped is caught too
         with pytest.raises(ValueError, match="arm"):
-            estimate_channel(
-                [TrialRecord(0, ARM_X, 0, 0)] * 200, rp, 1.0
-            )
+            estimate_channel(series(ARM_X, np.zeros(200)), rp, 1.0)
 
 
 class TestHistogram:
     def test_constant_samples_single_bin(self):
-        records = [TrialRecord(i, ARM_P, 0.0, 2.5) for i in range(50)]
-        hist = make_histogram(records, bins=7)
+        hist = make_histogram(series(ARM_P, np.full(50, 2.5)), bins=7)
         assert hist.counts.sum() == 50
         assert (hist.counts > 0).sum() == 1
 
     def test_counts_cover_all_samples(self):
         params = StorageParams()
-        records = run_series((0.0, 0.0), params, ARM_P, 5_000, seed=2)
-        hist = make_histogram(records, bins=40, scale=1.0)
+        trials = run_series((0.0, 0.0), params, ARM_P, 5_000, seed=2)
+        hist = make_histogram(trials, bins=40, scale=1.0)
         assert hist.counts.sum() == 5_000
         assert hist.bin_edges.shape == (41,)
 
     def test_gaussian_chi_squared_sanity(self):
         rng = np.random.default_rng(314)
         samples = rng.standard_normal(10_000)
-        records = [
-            TrialRecord(i, ARM_P, 0.0, s) for i, s in enumerate(samples)
-        ]
-        hist = make_histogram(records, bins=50)
+        hist = make_histogram(series(ARM_P, samples), bins=50)
         edges = hist.bin_edges
         expected = 10_000 * np.diff(stats.norm.cdf(edges))
         # merge sparse tails for a valid chi-squared comparison
@@ -162,9 +166,9 @@ class TestHistogram:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="bins"):
-            make_histogram([TrialRecord(0, ARM_P, 0, 0)] * 10, bins=4)
+            make_histogram(series(ARM_P, np.zeros(10)), bins=4)
         with pytest.raises(ValueError, match="records"):
-            make_histogram([], bins=10)
+            make_histogram(series(ARM_P, []), bins=10)
 
     def test_scaled_variance_reconstruction_identity(self):
         # histogram sample variance of the scaled readout minus the scaled
@@ -174,7 +178,7 @@ class TestHistogram:
         rp = run_series((1.0, 0.0), params, ARM_P, 5_000, seed=9)
         rx = run_series((1.0, 0.0), params, ARM_X, 5_000, seed=9)
         est = estimate_channel(rp, rx, k_r)
-        scaled = np.array([r.verification_outcome for r in rp]) / k_r
+        scaled = rp.verification / k_r
         assert scaled.var(ddof=1) - 0.5 / k_r**2 == pytest.approx(
             est.var_p, rel=1e-12
         )
