@@ -14,6 +14,10 @@ Subpackages by task:
 * :mod:`qmemsim.calibration` - projection-noise calibration fits;
 * :mod:`qmemsim.decoherence` - storage-time decay and lifetime curves;
 * :mod:`qmemsim.cli` - batch front end (``qmemsim --help``).
+
+scipy is imported inside the few functions that call it, so importing
+the package, or running a subcommand that never needs scipy, loads
+numpy alone (``tests/test_imports.py`` checks this).
 """
 
 from .fidelity import (

@@ -132,6 +132,20 @@ def _finite(raw):
     return value
 
 
+def _positive(raw):
+    value = _finite(raw)
+    if value <= 0:
+        raise ValueError(f"{value} is not positive")
+    return value
+
+
+def _nonnegative(raw):
+    value = _finite(raw)
+    if value < 0:
+        raise ValueError(f"{value} is negative")
+    return value
+
+
 def _at_least(low):
     def convert(raw):
         value = int(raw)
@@ -355,28 +369,31 @@ def cmd_calibrate(config, out, formats, seed_override=None):
             "quadratic_coeff": (float, 0.0),
             "jx_min": (float, 0.1),
             "jx_max": (float, 2.0),
-            "jx_points": (int, 10),
-            "n_cycles": (int, 10_000),
+            "jx_points": (_at_least(3), 10),
+            "n_cycles": (_at_least(2), 10_000),
             "seed": (int, 0),
             "fit_jx_max": (float, None),
         },
     )
     source = schema.get("series_csv")
-    if source is not None:
-        points = calibration.read_points_csv(source)
-    else:
-        seed = seed_override if seed_override is not None else schema.get("seed")
-        jx = np.linspace(
-            schema.get("jx_min"), schema.get("jx_max"), schema.get("jx_points")
-        )
-        points = calibration.synthesize_series(
-            schema.get("slope_per_unit"),
-            schema.get("quadratic_coeff"),
-            jx,
-            schema.get("n_cycles"),
-            seed,
-        )
-    fit = calibration.fit_pnl(points, schema.get("fit_jx_max"))
+    try:
+        if source is not None:
+            points = calibration.read_points_csv(source)
+        else:
+            seed = seed_override if seed_override is not None else schema.get("seed")
+            jx = np.linspace(
+                schema.get("jx_min"), schema.get("jx_max"), schema.get("jx_points")
+            )
+            points = calibration.synthesize_series(
+                schema.get("slope_per_unit"),
+                schema.get("quadratic_coeff"),
+                jx,
+                schema.get("n_cycles"),
+                seed,
+            )
+        fit = calibration.fit_pnl(points, schema.get("fit_jx_max"))
+    except ValueError as exc:
+        raise ConfigError(f"calibrate: {exc}")
 
     written = []
     if "csv" in formats:
@@ -485,14 +502,17 @@ def cmd_lifetime(config, out, formats, seed_override=None):
         {
             "n_min": (float, 0.0),
             "n_max": (float, 10.0),
-            "excess_noise_rate": (float, 0.5),
-            "crossing_ms": (float, 4.0),
-            "t_max_ms": (float, 6.0),
-            "t_step_ms": (float, 0.1),
+            "excess_noise_rate": (_nonnegative, 0.5),
+            "crossing_ms": (_positive, 4.0),
+            "t_max_ms": (_nonnegative, 6.0),
+            "t_step_ms": (_positive, 0.1),
             **_STORAGE_FIELDS,
         },
     )
-    cset = CoherentSet(schema.get("n_min"), schema.get("n_max"))
+    try:
+        cset = CoherentSet(schema.get("n_min"), schema.get("n_max"))
+    except ValueError as exc:
+        raise ConfigError(f"lifetime: {exc}")
     params = _storage_params(schema)
     decay = decoherence.calibrate_tau(
         cset,

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .fidelity import average_fidelity, optimize_classical_gain
 from .gaussian import GaussianState
@@ -39,8 +38,9 @@ class DecayParams:
     def __post_init__(self):
         if not (np.isfinite(self.tau) and self.tau > 0):
             raise ValueError("tau must be finite and positive")
-        if self.excess_noise_rate < 0:
-            raise ValueError("excess noise must be nonnegative")
+        excess = self.excess_noise_rate
+        if not (np.isfinite(excess) and excess >= 0):
+            raise ValueError("excess_noise_rate must be finite and nonnegative")
 
 
 def _mixed(var, beta2, params):
@@ -106,6 +106,8 @@ def calibrate_tau(
     Root-finds ``tau`` such that the decayed channel's fidelity at
     ``crossing`` seconds equals the best classical fidelity for the set.
     """
+    from scipy.optimize import brentq
+
     _, f_class = optimize_classical_gain(cset.n_min, cset.n_max)
     base = store_channel(storage_params)
 

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.optimize import minimize_scalar
-from scipy.special import i0e
 
 __all__ = [
     "CoherentSet",
@@ -110,6 +108,8 @@ def _radial_estimate(cset, u, v, prefactor, nodes):
     ``exp(-(a + b)/2) I0((a - b)/2)``, evaluated here in scaled form for
     numerical stability at large exponents.
     """
+    from scipy.special import i0e
+
     s1, s2 = 2.0 * cset.n_min, 2.0 * cset.n_max  # alpha^2 range
     xg, wg = _gauss_legendre(nodes)
     s = 0.5 * (s2 - s1) * xg + 0.5 * (s2 + s1)
@@ -202,6 +202,8 @@ def classical_fidelity(gain, n_min, n_max):
 
 def optimize_classical_gain(n_min, n_max, xatol=1e-9):
     """Maximize the classical fidelity over gains in (0, 1]."""
+    from scipy.optimize import minimize_scalar
+
     result = minimize_scalar(
         lambda g: -classical_fidelity(g, n_min, n_max),
         bounds=(1e-9, 1.0),

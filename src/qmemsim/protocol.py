@@ -81,8 +81,10 @@ class StorageParams:
             raise ValueError("gain must be finite")
         if not (np.isfinite(self.readout_coupling) and self.readout_coupling > 0):
             raise ValueError("readout_coupling must be finite and > 0")
-        if self.atom_var_x <= 0 or self.atom_var_p <= 0:
-            raise ValueError("initial atomic variances must be positive")
+        for name in ("atom_var_x", "atom_var_p"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive")
         if self.atom_var_x * self.atom_var_p < 0.25 - 1e-9:
             raise ValueError(
                 "initial atomic variances violate the uncertainty relation"

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
-from scipy.special import ndtri
 
 __all__ = ["stream_key", "trial_normals", "DRAWS_PER_TRIAL"]
 
@@ -46,6 +45,8 @@ def trial_normals(key, start_trial, n_trials, width=2):
         raise ValueError("trial range must be nonnegative")
     if n_trials == 0:
         return np.empty((0, width))
+    from scipy.special import ndtri
+
     bg = Philox(key=key)
     bg.advance(int(start_trial))  # one counter block per trial
     u = Generator(bg).random(n_trials * DRAWS_PER_TRIAL)

@@ -25,6 +25,24 @@ def run(tmp_path, command, config=None, extra=()):
     return main(args)
 
 
+def run_subprocess(tmp_path, command, config):
+    """Exit code and stderr of a CLI run in a fresh interpreter.
+
+    For inputs that once hung or allocated without bound, so the run
+    sits under a timeout.
+    """
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    src = Path(qmemsim.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "qmemsim.cli", command,
+         "--config", str(path), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=60,
+        env={"PATH": "", "PYTHONPATH": str(src)},
+    )
+    return proc.returncode, proc.stderr
+
+
 def digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -105,6 +123,9 @@ class TestStore:
             ("n_trials", 0),
             ("n_trials", 50),
             ("histogram_bins", 3),
+            ("atom_var_x", float("nan")),
+            ("atom_var_p", float("nan")),
+            ("atom_var_x", float("inf")),
         ],
     )
     def test_bad_value_exit_two(self, tmp_path, capsys, key, value):
@@ -183,19 +204,11 @@ class TestFidelity:
     )
     def test_bad_value_exit_two_without_hanging(self, tmp_path, config, key):
         # a NaN channel or tolerance once doubled the quadrature nodes
-        # without bound, so the run goes to a subprocess under a timeout
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        src = Path(qmemsim.__file__).resolve().parents[1]
-        proc = subprocess.run(
-            [sys.executable, "-m", "qmemsim.cli", "fidelity",
-             "--config", str(path), "--out", str(tmp_path / "out")],
-            capture_output=True, text=True, timeout=60,
-            env={"PATH": "", "PYTHONPATH": str(src)},
-        )
-        assert proc.returncode == 2, proc.stderr
-        assert key in proc.stderr
-        assert "Traceback" not in proc.stderr
+        # without bound
+        code, err = run_subprocess(tmp_path, "fidelity", config)
+        assert code == 2, err
+        assert key in err
+        assert "Traceback" not in err
 
     def test_byte_identical_rerun(self, tmp_path):
         assert run(tmp_path, "fidelity") == 0
@@ -227,6 +240,12 @@ class TestCalibrate:
         assert run(tmp_path, "calibrate", config) == 0
         fit2 = (tmp_path / "out" / "calibration_fit.json").read_text()
         assert fit1 == fit2
+
+    @pytest.mark.parametrize("key, value", [("jx_points", 2), ("n_cycles", 1)])
+    def test_bad_value_exit_two(self, tmp_path, capsys, key, value):
+        assert run(tmp_path, "calibrate", {key: value}) == 2
+        assert key in capsys.readouterr().err
+        assert not any((tmp_path / "out").iterdir())
 
 
 class TestMicroscopic:
@@ -282,3 +301,19 @@ class TestLifetime:
         config = {"coupling": 0.2, "gain": 0.2}
         assert run(tmp_path, "lifetime", config) == 3
         assert "classical" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ({"t_step_ms": 0}, "t_step_ms"),
+            ({"t_max_ms": -1}, "t_max_ms"),
+            ({"n_min": 5, "n_max": 2}, "n_min"),
+            ({"n_max": float("inf")}, "n_max"),
+            ({"excess_noise_rate": float("nan")}, "excess_noise_rate"),
+        ],
+    )
+    def test_bad_value_exit_two(self, tmp_path, config, key):
+        code, err = run_subprocess(tmp_path, "lifetime", config)
+        assert code == 2, err
+        assert key in err
+        assert "Traceback" not in err

@@ -1,0 +1,84 @@
+"""Start-up guard: scipy is loaded only by the functions that call it.
+
+Each check runs in a fresh interpreter, since this test session has long
+since imported scipy itself.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import qmemsim
+
+SRC = str(Path(qmemsim.__file__).resolve().parents[1])
+
+_REPORT = (
+    "import json, sys\n"
+    "print(json.dumps(sorted(m for m in sys.modules"
+    " if m == 'scipy' or m.startswith('scipy.'))))\n"
+)
+
+
+def scipy_loaded_after(tmp_path, code):
+    """The ``scipy`` modules loaded once ``code`` has run."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code + "\n" + _REPORT],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path,
+        env={"PATH": "", "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def run_cli(tmp_path, command, config):
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    code = (
+        "from qmemsim.cli import main\n"
+        f"assert main([{command!r}, '--config', 'config.json',"
+        " '--out', 'out']) == 0"
+    )
+    return scipy_loaded_after(tmp_path, code)
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import qmemsim",
+        "import qmemsim.cli",
+        "from qmemsim import gaussian, protocol, microscopic, montecarlo",
+    ],
+)
+def test_import_loads_no_scipy(tmp_path, code):
+    assert scipy_loaded_after(tmp_path, code) == set()
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("microscopic", {"bins": 4096, "sweep_bins": 1024}),
+        ("calibrate", {"jx_points": 10, "n_cycles": 1000}),
+    ],
+)
+def test_numpy_only_subcommands_load_no_scipy(tmp_path, command, config):
+    assert run_cli(tmp_path, command, config) == set()
+
+
+def test_store_loads_special_only(tmp_path):
+    config = {"input_x": 0.0, "input_p": -4.0, "n_trials": 200}
+    loaded = run_cli(tmp_path, "store", config)
+    assert "scipy.special" in loaded
+    assert not any(m.startswith("scipy.optimize") for m in loaded)
+
+
+def test_fidelity_quadrature_loads_special(tmp_path):
+    # positive control: the probe does see a scipy import when one happens
+    code = (
+        "from qmemsim.fidelity import CoherentSet, average_fidelity\n"
+        "from qmemsim.protocol import ChannelSummary\n"
+        "average_fidelity(CoherentSet(0.0, 8.0),"
+        " ChannelSummary(1.0, 1.0, 1.0, 0.5))"
+    )
+    assert "scipy.special" in scipy_loaded_after(tmp_path, code)
