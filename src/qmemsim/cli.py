@@ -37,6 +37,8 @@ from .fidelity import (
 from .protocol import ChannelSummary, StorageParams
 
 ALL_FORMATS = ("csv", "json", "svg")
+#: longest lifetime curve, in time points (t_max_ms / t_step_ms)
+MAX_CURVE_POINTS = 100_000
 
 
 class ConfigError(Exception):
@@ -514,15 +516,25 @@ def cmd_lifetime(config, out, formats, seed_override=None):
     except ValueError as exc:
         raise ConfigError(f"lifetime: {exc}")
     params = _storage_params(schema)
-    decay = decoherence.calibrate_tau(
-        cset,
-        params,
-        schema.get("crossing_ms") * 1e-3,
-        excess_noise_rate=schema.get("excess_noise_rate"),
-    )
-    times = np.arange(
-        0.0, schema.get("t_max_ms") * 1e-3 + 1e-12, schema.get("t_step_ms") * 1e-3
-    )
+    stop = schema.get("t_max_ms") * 1e-3 + 1e-12
+    step = schema.get("t_step_ms") * 1e-3
+    # np.arange gives ceil(stop / step) points; count them before allocating
+    if not stop <= MAX_CURVE_POINTS * step:
+        raise ConfigError(
+            f"lifetime: bad value for 't_step_ms': {schema.get('t_step_ms')} ms "
+            f"up to t_max_ms {schema.get('t_max_ms')} ms gives more than "
+            f"{MAX_CURVE_POINTS} time points"
+        )
+    try:
+        decay = decoherence.calibrate_tau(
+            cset,
+            params,
+            schema.get("crossing_ms") * 1e-3,
+            excess_noise_rate=schema.get("excess_noise_rate"),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"lifetime: bad value for 'crossing_ms': {exc}")
+    times = np.arange(0.0, stop, step)
     fids = decoherence.fidelity_vs_time(cset, params, decay, times)
     _, f_class = optimize_classical_gain(cset.n_min, cset.n_max)
     crossing = decoherence.crossing_time(times, fids, f_class)

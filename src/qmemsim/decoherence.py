@@ -105,6 +105,9 @@ def calibrate_tau(
 
     Root-finds ``tau`` such that the decayed channel's fidelity at
     ``crossing`` seconds equals the best classical fidelity for the set.
+    Raises ``RuntimeError`` if the channel never beats that fidelity and
+    ``ValueError`` if it still beats it at the shortest ``tau`` of the
+    bracket (the crossing is too short to calibrate).
     """
     from scipy.optimize import brentq
 
@@ -119,6 +122,11 @@ def calibrate_tau(
     if gap(hi) <= 0:
         raise RuntimeError(
             "channel never beats the classical benchmark; cannot calibrate"
+        )
+    if gap(lo) > 0:
+        raise ValueError(
+            f"crossing time {crossing} s is too short: the fidelity still "
+            f"beats the classical benchmark at tau = {lo} s"
         )
     tau = brentq(gap, lo, hi, xtol=1e-12, rtol=1e-12)
     return DecayParams(tau, excess_noise_rate)

@@ -17,6 +17,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 __all__ = [
+    "MAX_NODES",
     "CoherentSet",
     "QuadratureSpec",
     "overlap",
@@ -26,6 +27,11 @@ __all__ = [
     "optimize_classical_gain",
     "classical_variance_bound",
 ]
+
+#: nodes per axis at which doubling stops; ``leggauss(n)`` solves an n x n
+#: eigenproblem, so this bounds the time and memory of a quadrature that
+#: does not converge (4096 nodes: about 5 s and 300 MiB)
+MAX_NODES = 4096
 
 
 @dataclass(frozen=True)
@@ -45,7 +51,8 @@ class QuadratureSpec:
     """Node budget and tolerance for the fidelity integrals.
 
     Node counts are starting values; they are doubled until two successive
-    estimates agree within ``tol`` (up to ``max_doublings`` times).
+    estimates agree within ``tol`` (up to ``max_doublings`` times, and never
+    beyond :data:`MAX_NODES` per axis).
     """
 
     radial_nodes: int = 32
@@ -56,6 +63,8 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.radial_nodes < 2 or self.angular_nodes < 2:
             raise ValueError("need at least two nodes per axis")
+        if max(self.radial_nodes, self.angular_nodes) > MAX_NODES:
+            raise ValueError(f"at most {MAX_NODES} nodes per axis")
         if not self.tol > 0:  # also rejects NaN, which never converges
             raise ValueError("tolerance must be positive")
 
@@ -132,6 +141,8 @@ def average_fidelity(cset, channel, quad=None):
     nodes = quad.radial_nodes
     previous = _radial_estimate(cset, u, v, pref, nodes)
     for _ in range(quad.max_doublings):
+        if 2 * nodes > MAX_NODES:
+            break
         nodes *= 2
         current = _radial_estimate(cset, u, v, pref, nodes)
         if abs(current - previous) < quad.tol:
@@ -166,6 +177,8 @@ def average_fidelity_grid(cset, channel, quad=None):
     n_rad, n_ang = quad.radial_nodes, quad.angular_nodes
     previous = estimate(n_rad, n_ang)
     for _ in range(quad.max_doublings):
+        if 2 * max(n_rad, n_ang) > MAX_NODES:
+            break
         n_rad *= 2
         n_ang *= 2
         current = estimate(n_rad, n_ang)

@@ -30,6 +30,8 @@ __all__ = [
     "mean_photon_number",
     "apply_symplectic",
     "displace",
+    "HomodyneUpdate",
+    "homodyne_update",
     "homodyne_measure",
     "partial_trace",
     "tensor",
@@ -325,6 +327,72 @@ def tensor(a, b):
     return GaussianState(a.mode_names + b.mode_names, mean, cov, copy=False)
 
 
+@dataclass(frozen=True)
+class HomodyneUpdate:
+    """Outcome-independent half of a homodyne measurement.
+
+    For a Gaussian state the conditional covariance and the conditioning
+    vector ``cov_rq`` do not depend on the outcome; only the mean moves,
+    linearly in the record.  The arrays are read-only, so one update can
+    serve any number of outcomes.
+    """
+
+    modes: tuple  # names of the modes left after the measured one
+    mu_q: float  # marginal mean of the measured quadrature
+    var_q: float  # marginal variance of the measured quadrature
+    mean_r: np.ndarray
+    cov_rq: np.ndarray
+    cov: np.ndarray  # conditional covariance of the remaining modes
+
+    def condition(self, rng=None, fixed_outcome=None):
+        """Return ``(outcome, conditional mean)`` for one measurement run.
+
+        The outcome is drawn from the Gaussian marginal of the measured
+        quadrature (consuming exactly one standard normal from ``rng``),
+        or taken as ``fixed_outcome``.  A zero-variance quadrature can
+        only be "measured" with a fixed outcome.  The mean is a new,
+        writable array.
+        """
+        degenerate = self.var_q <= 0.0
+        if fixed_outcome is not None:
+            outcome = float(fixed_outcome)
+        else:
+            if degenerate:
+                raise ValueError(
+                    "cannot sample a zero-variance quadrature; pass fixed_outcome"
+                )
+            if rng is None:
+                raise ValueError("provide rng to sample or fixed_outcome")
+            outcome = self.mu_q + np.sqrt(self.var_q) * rng.standard_normal()
+        if degenerate:
+            return outcome, self.mean_r.copy()
+        shift = (outcome - self.mu_q) / self.var_q
+        return outcome, self.mean_r + self.cov_rq * shift
+
+
+def homodyne_update(state, mode, quadrature="x"):
+    """Prepare the Schur-complement update for measuring one quadrature."""
+    if state.n_modes < 2:
+        raise ValueError("measuring the only mode would leave an empty state")
+    q = state.quad_index(mode, quadrature)
+    mu_q = state.mean[q]
+    var_q = state.cov[q, q]
+
+    drop = state.mode_index(mode)
+    rest = [i for i in range(state.n_modes) if i != drop]
+    quads = []
+    for i in rest:
+        quads.extend((2 * i, 2 * i + 1))
+    mean_r = state.mean[quads]
+    cov_rr = state.cov[np.ix_(quads, quads)]
+    cov_rq = state.cov[quads, q]
+    cov_c = cov_rr if var_q <= 0.0 else cov_rr - np.outer(cov_rq, cov_rq) / var_q
+    for array in (mean_r, cov_rq, cov_c):
+        array.flags.writeable = False
+    names = tuple(state.modes[i].name for i in rest)
+    return HomodyneUpdate(names, mu_q, var_q, mean_r, cov_rq, cov_c)
+
+
 def homodyne_measure(state, mode, quadrature="x", rng=None, fixed_outcome=None):
     """Measure one quadrature; return (outcome, conditional state).
 
@@ -337,38 +405,6 @@ def homodyne_measure(state, mode, quadrature="x", rng=None, fixed_outcome=None):
     A zero-variance quadrature can only be "measured" with a fixed
     outcome; sampling from it is rejected.
     """
-    if state.n_modes < 2:
-        raise ValueError("measuring the only mode would leave an empty state")
-    q = state.quad_index(mode, quadrature)
-    mu_q = state.mean[q]
-    var_q = state.cov[q, q]
-
-    degenerate = var_q <= 0.0
-    if fixed_outcome is not None:
-        outcome = float(fixed_outcome)
-    else:
-        if degenerate:
-            raise ValueError(
-                "cannot sample a zero-variance quadrature; pass fixed_outcome"
-            )
-        if rng is None:
-            raise ValueError("provide rng to sample or fixed_outcome")
-        outcome = mu_q + np.sqrt(var_q) * rng.standard_normal()
-
-    drop = state.mode_index(mode)
-    rest = [i for i in range(state.n_modes) if i != drop]
-    quads = []
-    for i in rest:
-        quads.extend((2 * i, 2 * i + 1))
-    mean_r = state.mean[quads]
-    cov_rr = state.cov[np.ix_(quads, quads)]
-    cov_rq = state.cov[quads, q]
-
-    if degenerate:
-        mean_c, cov_c = mean_r, cov_rr
-    else:
-        mean_c = mean_r + cov_rq * ((outcome - mu_q) / var_q)
-        cov_c = cov_rr - np.outer(cov_rq, cov_rq) / var_q
-
-    names = [state.modes[i].name for i in rest]
-    return outcome, GaussianState(names, mean_c, cov_c, copy=False)
+    update = homodyne_update(state, mode, quadrature)
+    outcome, mean = update.condition(rng, fixed_outcome)
+    return outcome, GaussianState(update.modes, mean, update.cov, copy=False)

@@ -12,6 +12,7 @@ import pytest
 
 import qmemsim
 from qmemsim.cli import _write_csv, _write_trials_csv, main
+from qmemsim.fidelity import MAX_NODES
 from qmemsim.montecarlo import ARM_P, ARM_X, TrialSeries
 
 
@@ -210,6 +211,14 @@ class TestFidelity:
         assert key in err
         assert "Traceback" not in err
 
+    def test_unconverged_quadrature_stops_at_node_cap(self, tmp_path):
+        config = {"quad_tol": 1e-300, "n_max": 1000.0, "gain_x": 0.9,
+                  "gain_p": 0.9, "var_x": 0.8, "var_p": 0.6}
+        code, err = run_subprocess(tmp_path, "fidelity", config)
+        assert code == 3, err
+        assert f"by {MAX_NODES} nodes" in err
+        assert "Traceback" not in err
+
     def test_byte_identical_rerun(self, tmp_path):
         assert run(tmp_path, "fidelity") == 0
         first = {
@@ -310,6 +319,8 @@ class TestLifetime:
             ({"n_min": 5, "n_max": 2}, "n_min"),
             ({"n_max": float("inf")}, "n_max"),
             ({"excess_noise_rate": float("nan")}, "excess_noise_rate"),
+            ({"t_step_ms": 1e-9}, "t_step_ms"),  # once asked for 6e9 points
+            ({"crossing_ms": 1e-6}, "crossing_ms"),  # below the tau bracket
         ],
     )
     def test_bad_value_exit_two(self, tmp_path, config, key):

@@ -112,6 +112,12 @@ class TestLifetimeCurve:
         with pytest.raises(RuntimeError, match="classical"):
             calibrate_tau(CoherentSet(0, 10), weak, 4e-3)
 
+    def test_crossing_below_tau_bracket_raises(self):
+        # at tau = 1e-5 s a 1 ns crossing leaves the fidelity above the
+        # classical optimum, so the bracket holds no sign change
+        with pytest.raises(ValueError, match="too short"):
+            calibrate_tau(CoherentSet(0, 10), StorageParams(), 1e-9)
+
     def test_unsorted_times_rejected(self):
         with pytest.raises(ValueError):
             fidelity_vs_time(

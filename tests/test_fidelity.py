@@ -10,7 +10,9 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from numpy.testing import assert_allclose
 
+from qmemsim import fidelity
 from qmemsim.fidelity import (
+    MAX_NODES,
     CoherentSet,
     QuadratureSpec,
     average_fidelity,
@@ -161,6 +163,25 @@ class TestAverageFidelity:
             average_fidelity(
                 CoherentSet(0, 8), ChannelSummary(0.9, 0.9, 0.8, 0.6), quad
             )
+
+    def test_doubling_stops_at_node_cap(self, monkeypatch):
+        # the cap binds two doublings before max_doublings runs out (on the
+        # angular axis for the grid); without it the radial count reaches 256
+        monkeypatch.setattr(fidelity, "MAX_NODES", 64)
+        cset, channel = CoherentSet(0, 1000), ChannelSummary(0.9, 0.9, 0.8, 0.6)
+        quad = QuadratureSpec(
+            radial_nodes=2, angular_nodes=16, tol=1e-300, max_doublings=7
+        )
+        with pytest.raises(RuntimeError, match="by 64 nodes"):
+            average_fidelity(cset, channel, quad)
+        with pytest.raises(RuntimeError, match="by 8 x 64 nodes"):
+            average_fidelity_grid(cset, channel, quad)
+
+    def test_starting_nodes_above_cap_rejected(self):
+        with pytest.raises(ValueError, match="at most"):
+            QuadratureSpec(radial_nodes=MAX_NODES + 1)
+        with pytest.raises(ValueError, match="at most"):
+            QuadratureSpec(angular_nodes=2 * MAX_NODES)
 
 
 class TestClassicalFidelity:

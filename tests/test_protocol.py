@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import minimize_scalar
 
+from qmemsim import protocol
 from qmemsim.gaussian import (
     apply_symplectic,
     coherent_state,
+    displace,
     homodyne_measure,
     partial_trace,
     single_mode,
@@ -128,6 +132,129 @@ class TestStoreConditional:
         assert np.all(
             np.abs(np.diag(total_cov) - np.diag(avg.cov)) < 4 * se_var
         )
+
+
+def reference_store(input_light, params, rng=None, fixed_outcome=None):
+    """The literal storage sequence, one state per step, for comparison."""
+    if input_light.n_modes != 1:
+        raise ValueError("input light must be a single mode")
+    light_name = input_light.mode_names[0]
+    joint = tensor(input_light, initial_atoms(params))
+    joint = apply_symplectic(joint, interaction_map(params.coupling))
+    outcome, atoms = homodyne_measure(
+        joint, light_name, "x", rng=rng, fixed_outcome=fixed_outcome
+    )
+    atoms = displace(atoms, ATOMS, 0.0, -params.gain * outcome)
+    return outcome, atoms
+
+
+def assert_same_bytes(got, want):
+    (outcome, atoms), (ref_outcome, ref_atoms) = got, want
+    assert np.float64(outcome).tobytes() == np.float64(ref_outcome).tobytes()
+    assert atoms.mode_names == ref_atoms.mode_names
+    assert atoms.mean.tobytes() == ref_atoms.mean.tobytes()
+    assert atoms.cov.tobytes() == ref_atoms.cov.tobytes()
+
+
+def signed(low, high):
+    """Finite floats in [low, high], with both signed zeros drawn often."""
+    return st.one_of(st.sampled_from([0.0, -0.0]), st.floats(low, high))
+
+
+class TestStoreConditionalCache:
+    """The cached conditioning gives the bytes of the literal pipeline."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        x=signed(-5.0, 5.0),
+        p=signed(-5.0, 5.0),
+        var_x=st.floats(0.05, 5.0),
+        var_p=st.floats(0.05, 5.0),
+        cov_xp=signed(-0.04, 0.04),
+        coupling=signed(0.0, 2.0),
+        gain=signed(-2.0, 2.0),
+        atom_var_x=st.floats(0.05, 5.0),
+        excess=st.floats(1.0, 4.0),
+        seed=st.integers(0, 2**32 - 1),
+        fixed=signed(-10.0, 10.0),
+    )
+    def test_matches_reference_pipeline(
+        self, x, p, var_x, var_p, cov_xp, coupling, gain, atom_var_x, excess,
+        seed, fixed,
+    ):
+        light = single_mode("light", x, p, var_x, var_p, cov_xp)
+        params = StorageParams(
+            coupling=coupling, gain=gain, atom_var_x=atom_var_x,
+            atom_var_p=excess * 0.25 / atom_var_x,
+        )
+        for _ in range(2):  # a miss, then a hit
+            assert_same_bytes(
+                store_conditional(light, params, rng=np.random.default_rng(seed)),
+                reference_store(light, params, rng=np.random.default_rng(seed)),
+            )
+            assert_same_bytes(
+                store_conditional(light, params, fixed_outcome=fixed),
+                reference_store(light, params, fixed_outcome=fixed),
+            )
+
+    def test_more_inputs_than_the_cache_holds(self):
+        size = protocol._store_conditioning.cache_info().maxsize
+        inputs = [coherent_state(0.01 * i, -0.0) for i in range(2 * size + 3)]
+        params = StorageParams(coupling=0.9, gain=1.1)
+        for _ in range(2):
+            for i, light in enumerate(inputs):
+                assert_same_bytes(
+                    store_conditional(light, params, fixed_outcome=0.1 * i),
+                    reference_store(light, params, fixed_outcome=0.1 * i),
+                )
+
+    def test_signed_zeros_and_gains_key_the_cache(self):
+        protocol._store_conditioning.cache_clear()
+        for x, coupling, gain in [
+            (0.0, 0.0, 1.0),
+            (-0.0, 0.0, 1.0),  # new entry: the light mean's bytes differ
+            (0.0, -0.0, 1.0),  # new entry: the coupling's bytes differ
+            (0.0, 0.0, 0.5),  # same entry: the gain is not read
+            (-0.0, 0.0, -2.0),
+        ]:
+            params = StorageParams(coupling=coupling, gain=gain)
+            store_conditional(coherent_state(x, 1.0), params, fixed_outcome=0.3)
+        info = protocol._store_conditioning.cache_info()
+        assert (info.misses, info.hits) == (3, 2)
+
+    def test_errors_repeat_on_every_call(self):
+        params = StorageParams()
+        light = coherent_state(0.3, -0.2)
+        store_conditional(light, params, fixed_outcome=0.0)  # cached input
+        flat = single_mode("light", var_x=0.0, var_p=1.0)
+        no_coupling = StorageParams(coupling=0.0)
+        cases = [
+            (coherent_state(0.0, 0.0, mode=ATOMS), params, "both sides"),
+            (vacuum_state(["a", "b"]), params, "single mode"),
+            (light, params, "provide rng"),
+            (flat, no_coupling, "zero-variance"),
+        ]
+        for bad_light, bad_params, message in cases:
+            for _ in range(3):
+                with pytest.raises(ValueError, match=message):
+                    store_conditional(bad_light, bad_params)
+                with pytest.raises(ValueError, match=message):
+                    reference_store(bad_light, bad_params)
+        assert_same_bytes(
+            store_conditional(flat, no_coupling, fixed_outcome=0.4),
+            reference_store(flat, no_coupling, fixed_outcome=0.4),
+        )
+
+    def test_returned_arrays_are_read_only(self):
+        light = coherent_state(1.0, 2.0)
+        rng = np.random.default_rng(3)
+        _, first = store_conditional(light, StorageParams(), rng=rng)
+        _, second = store_conditional(light, StorageParams(), rng=rng)
+        for array in (first.mean, first.cov, second.mean, second.cov):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+        assert first.mean.tobytes() != second.mean.tobytes()
 
 
 class TestStoreChannel:
