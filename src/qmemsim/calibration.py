@@ -188,7 +188,7 @@ def write_points_csv(points, path):
 def read_points_csv(path):
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header != _CSV_HEADER:
             raise ValueError(f"unexpected header {header!r}")
         return [

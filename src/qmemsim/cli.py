@@ -12,7 +12,8 @@ Each run is a pure function of (config, seed): outputs carry no
 timestamps, floats are written with 17 significant digits, and CSV files
 use comma separators with LF line endings.  Exit status is 0 on success,
 2 for configuration errors (the message names the offending key), 3 for
-numerical failures such as quadrature or fit non-convergence.
+numerical failures such as quadrature or fit non-convergence, overflow,
+or a result that is not finite.
 """
 
 from __future__ import annotations
@@ -39,6 +40,15 @@ from .protocol import ChannelSummary, StorageParams
 ALL_FORMATS = ("csv", "json", "svg")
 #: longest lifetime curve, in time points (t_max_ms / t_step_ms)
 MAX_CURVE_POINTS = 100_000
+# Caps on the count keys: the largest accepted run stays well under 1 GiB
+# peak RSS (about 200 MiB for store, 350 MiB for calibrate and microscopic).
+MAX_TRIALS = 1_000_000  # per verification arm
+MAX_HISTOGRAM_BINS = 100_000
+MAX_JX_POINTS = 1_000_000
+MAX_CYCLES = 10**12  # sets only the chi-squared degrees of freedom
+MAX_TIME_BINS = 1_000_000  # bins and sweep_bins
+#: exceptions from compute or writing that mean a numerical failure (exit 3)
+_NUMERICAL = (RuntimeError, ArithmeticError, np.linalg.LinAlgError)
 
 
 class ConfigError(Exception):
@@ -87,44 +97,32 @@ def _jsonify(obj):
 
 
 def _write_json(path, obj):
+    """Raises ``ValueError`` on a NaN or infinity, before opening ``path``."""
+    text = json.dumps(_jsonify(obj), indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(_jsonify(obj), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _write_text(path, text):
-    with open(path, "w") as fh:
-        fh.write(text)
-
-
-class _Schema:
-    """Typed config reader: rejects unknown keys, names missing ones."""
-
-    def __init__(self, command, config, fields):
-        self.command = command
-        self.fields = fields
-        unknown = set(config) - set(fields)
-        if unknown:
-            raise ConfigError(
-                f"{command}: unknown config key {sorted(unknown)[0]!r}"
-            )
-        self.config = config
-
-    def get(self, key):
-        convert, default = self.fields[key]
-        if key not in self.config:
-            if default is _REQUIRED:
-                raise ConfigError(
-                    f"{self.command}: missing required config key {key!r}"
-                )
-            return default
-        try:
-            return convert(self.config[key])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{self.command}: bad value for {key!r}: {exc}")
+        fh.write(text + "\n")
 
 
 _REQUIRED = object()
+
+
+def _resolve(command, config, fields):
+    """The whole config: every key converted and checked, read or not."""
+    unknown = set(config) - set(fields)
+    if unknown:
+        raise ConfigError(f"{command}: unknown config key {sorted(unknown)[0]!r}")
+    resolved = {}
+    for key, (convert, default) in fields.items():
+        if key not in config:
+            if default is _REQUIRED:
+                raise ConfigError(f"{command}: missing required config key {key!r}")
+            resolved[key] = default
+            continue
+        try:
+            resolved[key] = convert(config[key])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"{command}: bad value for {key!r}: {exc}")
+    return resolved
 
 
 def _finite(raw):
@@ -148,27 +146,14 @@ def _nonnegative(raw):
     return value
 
 
-def _at_least(low):
+def _count(low, high):
     def convert(raw):
         value = int(raw)
-        if value < low:
-            raise ValueError(f"{value} is below {low}")
+        if not low <= value <= high:
+            raise ValueError(f"{value} is outside [{low}, {high}]")
         return value
 
     return convert
-
-
-def _storage_params(schema):
-    try:
-        return StorageParams(
-            coupling=schema.get("coupling"),
-            gain=schema.get("gain"),
-            readout_coupling=schema.get("readout_coupling"),
-            atom_var_x=schema.get("atom_var_x"),
-            atom_var_p=schema.get("atom_var_p"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{schema.command}: {exc}")
 
 
 _STORAGE_FIELDS = {
@@ -180,27 +165,25 @@ _STORAGE_FIELDS = {
 }
 
 
-def cmd_store(config, out, formats, seed_override=None):
-    schema = _Schema(
-        "store",
-        config,
-        {
-            "input_x": (_finite, _REQUIRED),
-            "input_p": (_finite, _REQUIRED),
-            "n_trials": (_at_least(montecarlo.MIN_TRIALS), 10_000),
-            "seed": (int, 0),
-            "histogram_bins": (_at_least(montecarlo.MIN_BINS), 60),
-            **_STORAGE_FIELDS,
-        },
-    )
-    input_mean = (schema.get("input_x"), schema.get("input_p"))
-    params = _storage_params(schema)
-    n_trials = schema.get("n_trials")
-    seed = seed_override if seed_override is not None else schema.get("seed")
-    bins = schema.get("histogram_bins")
+def _storage_params(cfg):
+    return StorageParams(**{key: cfg[key] for key in _STORAGE_FIELDS})
 
+
+STORE_FIELDS = {
+    "input_x": (_finite, _REQUIRED),
+    "input_p": (_finite, _REQUIRED),
+    "n_trials": (_count(montecarlo.MIN_TRIALS, MAX_TRIALS), 10_000),
+    "seed": (int, 0),
+    "histogram_bins": (_count(montecarlo.MIN_BINS, MAX_HISTOGRAM_BINS), 60),
+    **_STORAGE_FIELDS,
+}
+
+
+def compute_store(cfg):
+    input_mean = (cfg["input_x"], cfg["input_p"])
+    params = _storage_params(cfg)
     series = {
-        arm: montecarlo.run_series(input_mean, params, arm, n_trials, seed)
+        arm: montecarlo.run_series(input_mean, params, arm, cfg["n_trials"], cfg["seed"])
         for arm in (montecarlo.ARM_P, montecarlo.ARM_X)
     }
     k_r = params.readout_coupling
@@ -208,20 +191,39 @@ def cmd_store(config, out, formats, seed_override=None):
     for arm, trials in series.items():
         ref_mean, ref_sd = montecarlo.ideal_reference(params, arm, input_mean)
         hists[arm] = montecarlo.make_histogram(
-            trials, bins=bins, scale=montecarlo.ARM_SIGN[arm] / k_r,
+            trials, bins=cfg["histogram_bins"], scale=montecarlo.ARM_SIGN[arm] / k_r,
             ref_mean=ref_mean, ref_sd=ref_sd,
         )
     recon = montecarlo.estimate_channel(
         series[montecarlo.ARM_P], series[montecarlo.ARM_X], k_r
     )
 
-    written = []
-    if "csv" in formats:
-        path = out / "trials.csv"
-        _write_trials_csv(path, series.values())
-        written.append(path)
-        path = out / "histograms.csv"
-        _write_csv(
+    x_in, p_in = input_mean
+    report = {
+        "reconstructed": {
+            "mean_x": recon.mean_x,
+            "mean_p": recon.mean_p,
+            "var_x": recon.var_x,
+            "var_p": recon.var_p,
+            "se_mean_x": recon.se_mean_x,
+            "se_mean_p": recon.se_mean_p,
+            "se_var_x": recon.se_var_x,
+            "se_var_p": recon.se_var_p,
+        },
+        "gains": {
+            "gain_x": recon.mean_x / p_in if p_in else None,
+            "gain_p": -recon.mean_p / x_in if x_in else None,
+        },
+        "histogram_reference": {
+            arm: {"mean": h.ref_mean, "sd": h.ref_sd, "scale": h.scaled_by}
+            for arm, h in sorted(hists.items())
+        },
+        "n_trials": cfg["n_trials"],
+        "seed": cfg["seed"],
+    }
+    return {
+        "trials.csv": lambda path: _write_trials_csv(path, series.values()),
+        "histograms.csv": lambda path: _write_csv(
             path,
             ["arm", "bin_left", "bin_right", "count"],
             (
@@ -229,74 +231,36 @@ def cmd_store(config, out, formats, seed_override=None):
                 for arm, h in sorted(hists.items())
                 for i in range(len(h.counts))
             ),
-        )
-        written.append(path)
-    if "json" in formats:
-        x_in, p_in = input_mean
-        report = {
-            "reconstructed": {
-                "mean_x": recon.mean_x,
-                "mean_p": recon.mean_p,
-                "var_x": recon.var_x,
-                "var_p": recon.var_p,
-                "se_mean_x": recon.se_mean_x,
-                "se_mean_p": recon.se_mean_p,
-                "se_var_x": recon.se_var_x,
-                "se_var_p": recon.se_var_p,
-            },
-            "gains": {
-                "gain_x": recon.mean_x / p_in if p_in else None,
-                "gain_p": -recon.mean_p / x_in if x_in else None,
-            },
-            "histogram_reference": {
-                arm: {"mean": h.ref_mean, "sd": h.ref_sd, "scale": h.scaled_by}
-                for arm, h in sorted(hists.items())
-            },
-            "n_trials": n_trials,
-            "seed": seed,
-        }
-        path = out / "reconstructed.json"
-        _write_json(path, report)
-        written.append(path)
-    if "svg" in formats:
-        path = out / "histograms.svg"
-        _write_text(
-            path,
+        ),
+        "reconstructed.json": lambda path: _write_json(path, report),
+        "histograms.svg": lambda path: path.write_text(
             plots.histogram_svg(
                 [hists[montecarlo.ARM_X], hists[montecarlo.ARM_P]],
                 titles=["stored X (rotated readout)", "stored P (direct readout)"],
             ),
-        )
-        written.append(path)
-    return written
+        ),
+    }
 
 
-def cmd_fidelity(config, out, formats, seed_override=None):
-    schema = _Schema(
-        "fidelity",
-        config,
-        {
-            "n_min": (float, 0.0),
-            "n_max": (float, 8.0),
-            "gain_x": (float, None),
-            "gain_p": (float, None),
-            "var_x": (float, None),
-            "var_p": (float, None),
-            "quad_tol": (_finite, 1e-10),
-        },
-    )
-    channel_keys = [schema.get(k) for k in ("gain_x", "gain_p", "var_x", "var_p")]
+FIDELITY_FIELDS = {
+    "n_min": (float, 0.0),
+    "n_max": (float, 8.0),
+    "gain_x": (float, None),
+    "gain_p": (float, None),
+    "var_x": (float, None),
+    "var_p": (float, None),
+    "quad_tol": (_finite, 1e-10),
+}
+
+
+def compute_fidelity(cfg):
+    channel_keys = [cfg[k] for k in ("gain_x", "gain_p", "var_x", "var_p")]
     configured = all(v is not None for v in channel_keys)
     if not configured and any(v is not None for v in channel_keys):
-        raise ConfigError(
-            "fidelity: provide all of gain_x, gain_p, var_x, var_p or none"
-        )
-    try:
-        cset = CoherentSet(schema.get("n_min"), schema.get("n_max"))
-        quad = QuadratureSpec(tol=schema.get("quad_tol"))
-        channel = ChannelSummary(*channel_keys) if configured else None
-    except ValueError as exc:
-        raise ConfigError(f"fidelity: {exc}")
+        raise ValueError("provide all of gain_x, gain_p, var_x, var_p or none")
+    cset = CoherentSet(cfg["n_min"], cfg["n_max"])
+    quad = QuadratureSpec(tol=cfg["quad_tol"])
+    channel = ChannelSummary(*channel_keys) if configured else None
 
     rows = []
     ideal = ChannelSummary(1.0, 1.0, 1.0, 0.5)
@@ -326,27 +290,19 @@ def cmd_fidelity(config, out, formats, seed_override=None):
         "set_bound_pn": bound_pn_opt,
         "set_bound_33pct_below_pn": 0.67 * bound_pn_opt,
     }
-
-    written = []
-    if "csv" in formats:
-        path = out / "fidelity.csv"
-        _write_csv(
+    return {
+        "fidelity.csv": lambda path: _write_csv(
             path,
             ["label", "gain_x", "gain_p", "var_x", "var_p", "value"],
             (
                 [label] + ["" if v is None else v for v in rest]
                 for label, *rest in rows
             ),
-        )
-        written.append(path)
-        path = out / "boundaries.csv"
-        _write_csv(
+        ),
+        "boundaries.csv": lambda path: _write_csv(
             path, ["label", "value"], sorted(boundaries.items())
-        )
-        written.append(path)
-    if "json" in formats:
-        path = out / "fidelity.json"
-        _write_json(
+        ),
+        "fidelity.json": lambda path: _write_json(
             path,
             {
                 "set": {"n_min": cset.n_min, "n_max": cset.n_max},
@@ -356,55 +312,38 @@ def cmd_fidelity(config, out, formats, seed_override=None):
                 "classical_optimum": {"gain": g_opt, "fidelity": f_max},
                 "boundaries": boundaries,
             },
+        ),
+    }
+
+
+CALIBRATE_FIELDS = {
+    "series_csv": (str, None),
+    "slope_per_unit": (_finite, 0.5),
+    "quadratic_coeff": (_finite, 0.0),
+    "jx_min": (_finite, 0.1),
+    "jx_max": (_finite, 2.0),
+    "jx_points": (_count(3, MAX_JX_POINTS), 10),
+    "n_cycles": (_count(2, MAX_CYCLES), 10_000),
+    "seed": (int, 0),
+    "fit_jx_max": (float, None),
+}
+
+
+def compute_calibrate(cfg):
+    if cfg["series_csv"] is not None:
+        try:
+            points = calibration.read_points_csv(cfg["series_csv"])
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"bad value for 'series_csv': {exc}")
+    else:
+        jx = np.linspace(cfg["jx_min"], cfg["jx_max"], cfg["jx_points"])
+        points = calibration.synthesize_series(
+            cfg["slope_per_unit"], cfg["quadratic_coeff"], jx, cfg["n_cycles"], cfg["seed"]
         )
-        written.append(path)
-    return written
-
-
-def cmd_calibrate(config, out, formats, seed_override=None):
-    schema = _Schema(
-        "calibrate",
-        config,
-        {
-            "series_csv": (str, None),
-            "slope_per_unit": (float, 0.5),
-            "quadratic_coeff": (float, 0.0),
-            "jx_min": (float, 0.1),
-            "jx_max": (float, 2.0),
-            "jx_points": (_at_least(3), 10),
-            "n_cycles": (_at_least(2), 10_000),
-            "seed": (int, 0),
-            "fit_jx_max": (float, None),
-        },
-    )
-    source = schema.get("series_csv")
-    try:
-        if source is not None:
-            points = calibration.read_points_csv(source)
-        else:
-            seed = seed_override if seed_override is not None else schema.get("seed")
-            jx = np.linspace(
-                schema.get("jx_min"), schema.get("jx_max"), schema.get("jx_points")
-            )
-            points = calibration.synthesize_series(
-                schema.get("slope_per_unit"),
-                schema.get("quadratic_coeff"),
-                jx,
-                schema.get("n_cycles"),
-                seed,
-            )
-        fit = calibration.fit_pnl(points, schema.get("fit_jx_max"))
-    except ValueError as exc:
-        raise ConfigError(f"calibrate: {exc}")
-
-    written = []
-    if "csv" in formats:
-        path = out / "calibration_points.csv"
-        calibration.write_points_csv(points, path)
-        written.append(path)
-    if "json" in formats:
-        path = out / "calibration_fit.json"
-        _write_json(
+    fit = calibration.fit_pnl(points, cfg["fit_jx_max"])
+    return {
+        "calibration_points.csv": lambda path: calibration.write_points_csv(points, path),
+        "calibration_fit.json": lambda path: _write_json(
             path,
             {
                 "slope": fit.slope,
@@ -414,53 +353,47 @@ def cmd_calibrate(config, out, formats, seed_override=None):
                 "n_used": fit.n_used,
                 "jx_cut": fit.jx_cut,
             },
-        )
-        written.append(path)
-    return written
+        ),
+    }
 
 
-def cmd_microscopic(config, out, formats, seed_override=None):
-    schema = _Schema(
-        "microscopic",
-        config,
-        {
-            "target_coupling": (float, 1.0),
-            "bins": (int, 10_000),
-            "larmor_frequency": (float, 2 * np.pi * 322e3),
-            "pulse_duration": (float, 1e-3),
-            "collective_spin": (float, 1.2e12),
-            "sweep": (bool, True),
-            "sweep_bins": (int, 4096),
-        },
+MICROSCOPIC_FIELDS = {
+    "target_coupling": (float, 1.0),
+    "bins": (_count(1, MAX_TIME_BINS), 10_000),
+    "larmor_frequency": (float, 2 * np.pi * 322e3),
+    "pulse_duration": (float, 1e-3),
+    "collective_spin": (float, 1.2e12),
+    "sweep": (bool, True),
+    "sweep_bins": (_count(1, MAX_TIME_BINS), 4096),
+}
+
+
+def compute_microscopic(cfg):
+    params = microscopic.tuned_params(
+        cfg["target_coupling"],
+        bins=cfg["bins"],
+        larmor_frequency=cfg["larmor_frequency"],
+        pulse_duration=cfg["pulse_duration"],
+        collective_spin=cfg["collective_spin"],
     )
-    try:
-        params = microscopic.tuned_params(
-            schema.get("target_coupling"),
-            bins=schema.get("bins"),
-            larmor_frequency=schema.get("larmor_frequency"),
-            pulse_duration=schema.get("pulse_duration"),
-            collective_spin=schema.get("collective_spin"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"microscopic: {exc}")
     couplings = microscopic.demodulate(microscopic.propagate_binned(params))
     k_theory = microscopic.theoretical_coupling(params)
     rel_dev = abs(couplings.coupling - k_theory) / k_theory
 
     sweep_rows = []
     slope = None
-    if schema.get("sweep"):
+    if cfg["sweep"]:
         try:
             sweep_rows = microscopic.omega_t_sweep(
                 microscopic.pinned_phase_omega_t(),
-                bins=schema.get("sweep_bins"),
-                target_coupling=schema.get("target_coupling"),
-                pulse_duration=schema.get("pulse_duration"),
-                collective_spin=schema.get("collective_spin"),
+                bins=cfg["sweep_bins"],
+                target_coupling=cfg["target_coupling"],
+                pulse_duration=cfg["pulse_duration"],
+                collective_spin=cfg["collective_spin"],
             )
         except ValueError as exc:
             # the other keys already built valid params above
-            raise ConfigError(f"microscopic: bad value for 'sweep_bins': {exc}")
+            raise ValueError(f"bad value for 'sweep_bins': {exc}")
         slope = float(
             np.polyfit(
                 np.log([r["omega_t"] for r in sweep_rows]),
@@ -469,88 +402,68 @@ def cmd_microscopic(config, out, formats, seed_override=None):
             )[0]
         )
 
-    written = []
-    if "json" in formats:
-        path = out / "microscopic.json"
-        _write_json(
-            path,
-            {
-                "coupling_effective": couplings.coupling,
-                "coupling_write": couplings.coupling_write,
-                "coupling_read": couplings.coupling_read,
-                "coupling_theory": k_theory,
-                "relative_deviation": rel_dev,
-                "within_one_percent": bool(rel_dev < 0.01),
-                "spurious": couplings.spurious(),
-                "leakage_loglog_slope": slope,
-            },
-        )
-        written.append(path)
-    if "csv" in formats and sweep_rows:
-        path = out / "microscopic_sweep.csv"
-        _write_csv(
+    report = {
+        "coupling_effective": couplings.coupling,
+        "coupling_write": couplings.coupling_write,
+        "coupling_read": couplings.coupling_read,
+        "coupling_theory": k_theory,
+        "relative_deviation": rel_dev,
+        "within_one_percent": bool(rel_dev < 0.01),
+        "spurious": couplings.spurious(),
+        "leakage_loglog_slope": slope,
+    }
+    outputs = {"microscopic.json": lambda path: _write_json(path, report)}
+    if sweep_rows:
+        outputs["microscopic_sweep.csv"] = lambda path: _write_csv(
             path,
             list(sweep_rows[0].keys()),
             (list(r.values()) for r in sweep_rows),
         )
-        written.append(path)
-    return written
+    return outputs
 
 
-def cmd_lifetime(config, out, formats, seed_override=None):
-    schema = _Schema(
-        "lifetime",
-        config,
-        {
-            "n_min": (float, 0.0),
-            "n_max": (float, 10.0),
-            "excess_noise_rate": (_nonnegative, 0.5),
-            "crossing_ms": (_positive, 4.0),
-            "t_max_ms": (_nonnegative, 6.0),
-            "t_step_ms": (_positive, 0.1),
-            **_STORAGE_FIELDS,
-        },
-    )
-    try:
-        cset = CoherentSet(schema.get("n_min"), schema.get("n_max"))
-    except ValueError as exc:
-        raise ConfigError(f"lifetime: {exc}")
-    params = _storage_params(schema)
-    stop = schema.get("t_max_ms") * 1e-3 + 1e-12
-    step = schema.get("t_step_ms") * 1e-3
+LIFETIME_FIELDS = {
+    "n_min": (float, 0.0),
+    "n_max": (float, 10.0),
+    "excess_noise_rate": (_nonnegative, 0.5),
+    "crossing_ms": (_positive, 4.0),
+    "t_max_ms": (_nonnegative, 6.0),
+    "t_step_ms": (_positive, 0.1),
+    **_STORAGE_FIELDS,
+}
+
+
+def compute_lifetime(cfg):
+    cset = CoherentSet(cfg["n_min"], cfg["n_max"])
+    params = _storage_params(cfg)
+    stop = cfg["t_max_ms"] * 1e-3 + 1e-12
+    step = cfg["t_step_ms"] * 1e-3
     # np.arange gives ceil(stop / step) points; count them before allocating
     if not stop <= MAX_CURVE_POINTS * step:
-        raise ConfigError(
-            f"lifetime: bad value for 't_step_ms': {schema.get('t_step_ms')} ms "
-            f"up to t_max_ms {schema.get('t_max_ms')} ms gives more than "
-            f"{MAX_CURVE_POINTS} time points"
+        raise ValueError(
+            f"bad value for 't_step_ms': {cfg['t_step_ms']} ms up to t_max_ms "
+            f"{cfg['t_max_ms']} ms gives more than {MAX_CURVE_POINTS} time points"
         )
     try:
         decay = decoherence.calibrate_tau(
             cset,
             params,
-            schema.get("crossing_ms") * 1e-3,
-            excess_noise_rate=schema.get("excess_noise_rate"),
+            cfg["crossing_ms"] * 1e-3,
+            excess_noise_rate=cfg["excess_noise_rate"],
         )
     except ValueError as exc:
-        raise ConfigError(f"lifetime: bad value for 'crossing_ms': {exc}")
+        raise ValueError(f"bad value for 'crossing_ms': {exc}")
     times = np.arange(0.0, stop, step)
     fids = decoherence.fidelity_vs_time(cset, params, decay, times)
     _, f_class = optimize_classical_gain(cset.n_min, cset.n_max)
     crossing = decoherence.crossing_time(times, fids, f_class)
-
-    written = []
-    if "csv" in formats:
-        path = out / "lifetime.csv"
-        _write_csv(
+    return {
+        "lifetime.csv": lambda path: _write_csv(
             path,
             ["t_ms", "fidelity", "classical_limit"],
             ((t * 1e3, f, f_class) for t, f in zip(times, fids)),
-        )
-        written.append(path)
-    if "json" in formats:
-        path = out / "lifetime.json"
-        _write_json(
+        ),
+        "lifetime.json": lambda path: _write_json(
             path,
             {
                 "tau_ms": decay.tau * 1e3,
@@ -559,12 +472,8 @@ def cmd_lifetime(config, out, formats, seed_override=None):
                 "crossing_ms": None if crossing is None else crossing * 1e3,
                 "fidelity_at_zero": fids[0],
             },
-        )
-        written.append(path)
-    if "svg" in formats:
-        path = out / "lifetime.svg"
-        _write_text(
-            path,
+        ),
+        "lifetime.svg": lambda path: path.write_text(
             plots.line_svg(
                 times * 1e3,
                 {"memory fidelity": fids},
@@ -572,17 +481,16 @@ def cmd_lifetime(config, out, formats, seed_override=None):
                 y_label="fidelity",
                 hlines=[("classical limit", f_class)],
             ),
-        )
-        written.append(path)
-    return written
+        ),
+    }
 
 
 _COMMANDS = {
-    "store": cmd_store,
-    "fidelity": cmd_fidelity,
-    "calibrate": cmd_calibrate,
-    "microscopic": cmd_microscopic,
-    "lifetime": cmd_lifetime,
+    "store": (STORE_FIELDS, compute_store),
+    "fidelity": (FIDELITY_FIELDS, compute_fidelity),
+    "calibrate": (CALIBRATE_FIELDS, compute_calibrate),
+    "microscopic": (MICROSCOPIC_FIELDS, compute_microscopic),
+    "lifetime": (LIFETIME_FIELDS, compute_lifetime),
 }
 
 
@@ -610,9 +518,15 @@ def _build_parser():
     return parser
 
 
+def _fail(code, message):
+    print(message, file=sys.stderr)
+    return code
+
+
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     formats = tuple(args.format) if args.format else ALL_FORMATS
+    fields, compute = _COMMANDS[args.command]
     try:
         config = {}
         if args.config is not None:
@@ -625,13 +539,25 @@ def main(argv=None):
             if not isinstance(config, dict):
                 raise ConfigError("config must be a JSON object")
         args.out.mkdir(parents=True, exist_ok=True)
-        written = _COMMANDS[args.command](config, args.out, formats, args.seed)
+        cfg = _resolve(args.command, config, fields)
+        if args.seed is not None and "seed" in cfg:
+            cfg["seed"] = args.seed
+        outputs = compute(cfg)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (RuntimeError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+        return _fail(2, f"error: {exc}")
+    except _NUMERICAL as exc:
+        return _fail(3, f"numerical failure: {exc}")
+    except ValueError as exc:  # a domain check in the library, for this config
+        return _fail(2, f"error: {args.command}: {exc}")
+    written = []
+    for name, write in outputs.items():
+        if Path(name).suffix[1:] in formats:
+            path = args.out / name
+            try:
+                write(path)
+            except (ValueError, *_NUMERICAL) as exc:
+                return _fail(3, f"numerical failure: {path}: {exc}")
+            written.append(path)
     for path in written:
         print(path)
     return 0

@@ -248,7 +248,10 @@ def make_histogram(series, bins=50, scale=1.0, ref_mean=0.0, ref_sd=1.0):
     lo, hi = float(samples.min()), float(samples.max())
     if lo == hi:  # degenerate data still gets a well-formed histogram
         lo, hi = lo - 0.5, hi + 0.5
-    counts, edges = np.histogram(samples, bins=bins, range=(lo, hi))
+    try:
+        counts, edges = np.histogram(samples, bins=bins, range=(lo, hi))
+    except ValueError as exc:  # a range that is not finite or too narrow
+        raise FloatingPointError(f"cannot bin outcomes in [{lo}, {hi}]: {exc}")
     return HistogramSeries(
         bin_edges=edges,
         counts=counts,

@@ -164,3 +164,6 @@ class TestCsvRoundTrip:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError, match="header"):
             read_points_csv(path)
+        path.write_text("")
+        with pytest.raises(ValueError, match="header"):
+            read_points_csv(path)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import qmemsim
+from qmemsim import cli
 from qmemsim.cli import _write_csv, _write_trials_csv, main
 from qmemsim.fidelity import MAX_NODES
 from qmemsim.montecarlo import ARM_P, ARM_X, TrialSeries
@@ -127,6 +128,13 @@ class TestStore:
             ("atom_var_x", float("nan")),
             ("atom_var_p", float("nan")),
             ("atom_var_x", float("inf")),
+            ("n_trials", float("inf")),
+            ("seed", float("inf")),
+            ("histogram_bins", float("inf")),
+            ("n_trials", cli.MAX_TRIALS + 1),
+            ("n_trials", 1e12),
+            ("histogram_bins", cli.MAX_HISTOGRAM_BINS + 1),
+            ("histogram_bins", 1e12),
         ],
     )
     def test_bad_value_exit_two(self, tmp_path, capsys, key, value):
@@ -219,17 +227,6 @@ class TestFidelity:
         assert f"by {MAX_NODES} nodes" in err
         assert "Traceback" not in err
 
-    def test_byte_identical_rerun(self, tmp_path):
-        assert run(tmp_path, "fidelity") == 0
-        first = {
-            p.name: digest(p) for p in (tmp_path / "out").iterdir()
-        }
-        assert run(tmp_path, "fidelity") == 0
-        second = {
-            p.name: digest(p) for p in (tmp_path / "out").iterdir()
-        }
-        assert first == second
-
 
 class TestCalibrate:
     def test_synthesis_and_fit(self, tmp_path):
@@ -250,7 +247,21 @@ class TestCalibrate:
         fit2 = (tmp_path / "out" / "calibration_fit.json").read_text()
         assert fit1 == fit2
 
-    @pytest.mark.parametrize("key, value", [("jx_points", 2), ("n_cycles", 1)])
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("jx_points", 2),
+            ("n_cycles", 1),
+            ("jx_points", float("inf")),
+            ("n_cycles", float("inf")),
+            ("seed", float("inf")),
+            ("jx_points", cli.MAX_JX_POINTS + 1),
+            ("jx_points", 1e12),
+            ("n_cycles", cli.MAX_CYCLES + 1),
+            ("n_cycles", 1e308),
+            ("series_csv", "no/such/dir/points.csv"),
+        ],
+    )
     def test_bad_value_exit_two(self, tmp_path, capsys, key, value):
         assert run(tmp_path, "calibrate", {key: value}) == 2
         assert key in capsys.readouterr().err
@@ -284,6 +295,12 @@ class TestMicroscopic:
             ({"larmor_frequency": float("nan")}, "larmor_frequency"),
             ({"target_coupling": 0.0}, "target_coupling"),
             ({"target_coupling": -1.0}, "target_coupling"),
+            ({"bins": float("inf")}, "bins"),
+            ({"sweep_bins": float("inf")}, "sweep_bins"),
+            ({"bins": cli.MAX_TIME_BINS + 1}, "bins"),
+            ({"bins": 1e12}, "bins"),
+            ({"sweep_bins": cli.MAX_TIME_BINS + 1}, "sweep_bins"),
+            ({"sweep_bins": 1e12}, "sweep_bins"),
         ],
     )
     def test_bad_value_exit_two(self, tmp_path, capsys, config, key):
@@ -328,3 +345,85 @@ class TestLifetime:
         assert code == 2, err
         assert key in err
         assert "Traceback" not in err
+
+
+SMALL_CONFIGS = {
+    "store": STORE_CONFIG,
+    "fidelity": None,
+    "calibrate": {"seed": 3},
+    "microscopic": {"bins": 4096, "sweep_bins": 1024},
+    "lifetime": {"t_step_ms": 0.5},
+}
+
+
+@pytest.mark.parametrize("command", SMALL_CONFIGS)
+def test_byte_identical_rerun(tmp_path, command):
+    config = SMALL_CONFIGS[command]
+    assert run(tmp_path, command, config) == 0
+    first = {p.name: digest(p) for p in (tmp_path / "out").iterdir()}
+    assert run(tmp_path, command, config) == 0
+    second = {p.name: digest(p) for p in (tmp_path / "out").iterdir()}
+    assert first == second
+
+
+def test_unread_keys_are_still_checked(tmp_path, capsys):
+    assert run(tmp_path, "microscopic", {"sweep": False, "sweep_bins": "x"}) == 2
+    assert "sweep_bins" in capsys.readouterr().err
+    assert run(tmp_path, "calibrate", {"seed": 3}) == 0
+    points = tmp_path / "points.csv"
+    (tmp_path / "out" / "calibration_points.csv").rename(points)
+    config = {"series_csv": str(points), "jx_points": 2}
+    assert run(tmp_path, "calibrate", config) == 2
+    assert "jx_points" in capsys.readouterr().err
+
+
+FUZZ_VALUES = [0, -1, 1e308, float("nan"), float("inf"), "x", None, 1e12,
+               1e-300, [1], 0.5, 3]
+FUZZ_BASE = {
+    "store": {"input_x": 1.0, "input_p": -1.0, "n_trials": 200,
+              "histogram_bins": 10},
+    "fidelity": {},
+    "calibrate": {"jx_points": 6, "n_cycles": 100},
+    "microscopic": {"bins": 4096, "sweep_bins": 1024},
+    "lifetime": {"t_max_ms": 1.0, "t_step_ms": 0.5},
+}
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} in JSON output")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+def test_config_contract_fuzz(tmp_path, capsys):
+    """Every key of every subcommand's field table, over awkward values.
+
+    Each run exits 0, 2 or 3 with no exception escaping; exit 2 writes
+    nothing, and exit 0 writes no NaN or Infinity into any JSON file.
+    """
+    assert set(FUZZ_BASE) == set(cli._COMMANDS)
+    cases = [
+        (command, key, value)
+        for command, (fields, _) in cli._COMMANDS.items()
+        for key in fields
+        for value in FUZZ_VALUES
+    ]
+    broken = []
+    for n, (command, key, value) in enumerate(cases):
+        case = tmp_path / str(n)
+        case.mkdir()
+        try:
+            code = run(case, command, {**FUZZ_BASE[command], key: value})
+        except Exception as exc:  # noqa: BLE001 - every escape is a finding
+            broken.append((command, key, value, repr(exc)))
+            continue
+        written = list((case / "out").iterdir())
+        if code not in (0, 2, 3) or (code == 2 and written):
+            broken.append((command, key, value, f"exit {code}", written))
+        for path in written if code == 0 else ():
+            if path.suffix == ".json":
+                try:
+                    json.loads(path.read_text(), parse_constant=_reject_constant)
+                except ValueError as exc:
+                    broken.append((command, key, value, path.name, str(exc)))
+    capsys.readouterr()
+    assert not broken

@@ -169,6 +169,10 @@ class TestHistogram:
             make_histogram(series(ARM_P, np.zeros(10)), bins=4)
         with pytest.raises(ValueError, match="records"):
             make_histogram(series(ARM_P, []), bins=10)
+        # outcomes that overflowed have no finite, resolvable range
+        for bad in ([0.0, np.nan], [-np.inf, 1.0], [5e307, 5e307]):
+            with pytest.raises(FloatingPointError, match="cannot bin"):
+                make_histogram(series(ARM_P, bad), bins=10)
 
     def test_scaled_variance_reconstruction_identity(self):
         # histogram sample variance of the scaled readout minus the scaled
