@@ -2,8 +2,8 @@
 
 Subpackages by task:
 
-* :mod:`qmemsim.gaussian` - Gaussian states, symplectic maps, homodyne
-  conditioning;
+* :mod:`qmemsim.gaussian` - Gaussian states, linear symplectic maps,
+  homodyne conditioning;
 * :mod:`qmemsim.protocol` - the store / verify / retrieve protocol maps;
 * :mod:`qmemsim.microscopic` - time-binned two-cell dynamics and its
   reduction to the single-mode interaction;
@@ -31,7 +31,6 @@ from .fidelity import (
 )
 from .gaussian import (
     GaussianState,
-    ModeLabel,
     SymplecticMap,
     apply_symplectic,
     coherent_state,

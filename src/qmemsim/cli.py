@@ -146,6 +146,12 @@ def _nonnegative(raw):
     return value
 
 
+def _boolean(raw):
+    if not isinstance(raw, bool):
+        raise ValueError(f"{raw!r} is not true or false")
+    return raw
+
+
 def _count(low, high):
     def convert(raw):
         value = int(raw)
@@ -324,7 +330,7 @@ CALIBRATE_FIELDS = {
     "jx_max": (_finite, 2.0),
     "jx_points": (_count(3, MAX_JX_POINTS), 10),
     "n_cycles": (_count(2, MAX_CYCLES), 10_000),
-    "seed": (int, 0),
+    "seed": (_count(0, np.inf), 0),  # numpy's default_rng takes no negative seed
     "fit_jx_max": (float, None),
 }
 
@@ -363,7 +369,7 @@ MICROSCOPIC_FIELDS = {
     "larmor_frequency": (float, 2 * np.pi * 322e3),
     "pulse_duration": (float, 1e-3),
     "collective_spin": (float, 1.2e12),
-    "sweep": (bool, True),
+    "sweep": (_boolean, True),
     "sweep_bins": (_count(1, MAX_TIME_BINS), 4096),
 }
 
@@ -538,10 +544,10 @@ def main(argv=None):
                 raise ConfigError(f"config is not valid JSON: {exc}")
             if not isinstance(config, dict):
                 raise ConfigError("config must be a JSON object")
+        if args.seed is not None and "seed" in fields:
+            config["seed"] = args.seed
         args.out.mkdir(parents=True, exist_ok=True)
         cfg = _resolve(args.command, config, fields)
-        if args.seed is not None and "seed" in cfg:
-            cfg["seed"] = args.seed
         outputs = compute(cfg)
     except ConfigError as exc:
         return _fail(2, f"error: {exc}")

@@ -54,7 +54,7 @@ def apply_decay(atomic_state, t, params):
     beta = np.exp(-t / params.tau)
     floor = (1.0 - beta**2) * (0.5 + params.excess_noise_rate)
     cov = beta**2 * atomic_state.cov + floor * np.eye(atomic_state.mean.size)
-    return GaussianState(atomic_state.modes, beta * atomic_state.mean, cov)
+    return GaussianState(atomic_state.mode_names, beta * atomic_state.mean, cov)
 
 
 def decay_channel(channel, t, params):
@@ -105,13 +105,16 @@ def calibrate_tau(
 
     Root-finds ``tau`` such that the decayed channel's fidelity at
     ``crossing`` seconds equals the best classical fidelity for the set.
-    Raises ``RuntimeError`` if the channel never beats that fidelity and
-    ``ValueError`` if it still beats it at the shortest ``tau`` of the
-    bracket (the crossing is too short to calibrate).
+    Raises ``FloatingPointError`` if that fidelity is not finite (it
+    overflows for very large sets), ``RuntimeError`` if the channel never
+    beats it and ``ValueError`` if it still beats it at the shortest
+    ``tau`` of the bracket (the crossing is too short to calibrate).
     """
     from scipy.optimize import brentq
 
     _, f_class = optimize_classical_gain(cset.n_min, cset.n_max)
+    if not np.isfinite(f_class):
+        raise FloatingPointError(f"classical benchmark is {f_class} for this set")
     base = store_channel(storage_params)
 
     def gap(tau):

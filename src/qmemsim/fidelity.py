@@ -129,6 +129,26 @@ def _radial_estimate(cset, u, v, prefactor, nodes):
     return prefactor * np.dot(w, values) / (s2 - s1)
 
 
+def _refine(estimate, nodes, quad, what):
+    """``estimate(*nodes)``, doubling every node count until it converges.
+
+    Stops when two successive estimates agree within ``quad.tol``; raises
+    ``RuntimeError`` after ``quad.max_doublings`` doublings or before a
+    count would pass :data:`MAX_NODES`.
+    """
+    previous = estimate(*nodes)
+    for _ in range(quad.max_doublings):
+        if 2 * max(nodes) > MAX_NODES:
+            break
+        nodes = tuple(2 * n for n in nodes)
+        current = estimate(*nodes)
+        if abs(current - previous) < quad.tol:
+            return current
+        previous = current
+    counts = " x ".join(map(str, nodes))
+    raise RuntimeError(f"{what} did not converge below {quad.tol} by {counts} nodes")
+
+
 def average_fidelity(cset, channel, quad=None):
     """Set-averaged fidelity of a Gaussian channel summary.
 
@@ -138,19 +158,11 @@ def average_fidelity(cset, channel, quad=None):
     """
     quad = quad or QuadratureSpec()
     u, v, pref = _channel_exponents(channel)
-    nodes = quad.radial_nodes
-    previous = _radial_estimate(cset, u, v, pref, nodes)
-    for _ in range(quad.max_doublings):
-        if 2 * nodes > MAX_NODES:
-            break
-        nodes *= 2
-        current = _radial_estimate(cset, u, v, pref, nodes)
-        if abs(current - previous) < quad.tol:
-            return current
-        previous = current
-    raise RuntimeError(
-        f"radial quadrature did not converge below {quad.tol} "
-        f"by {nodes} nodes"
+    return _refine(
+        lambda nodes: _radial_estimate(cset, u, v, pref, nodes),
+        (quad.radial_nodes,),
+        quad,
+        "radial quadrature",
     )
 
 
@@ -174,21 +186,8 @@ def average_fidelity_grid(cset, channel, quad=None):
         grid = np.exp(-np.outer(s, u * cos2 + v * sin2))
         return pref * np.dot(w, grid.mean(axis=1)) / (s2 - s1)
 
-    n_rad, n_ang = quad.radial_nodes, quad.angular_nodes
-    previous = estimate(n_rad, n_ang)
-    for _ in range(quad.max_doublings):
-        if 2 * max(n_rad, n_ang) > MAX_NODES:
-            break
-        n_rad *= 2
-        n_ang *= 2
-        current = estimate(n_rad, n_ang)
-        if abs(current - previous) < quad.tol:
-            return current
-        previous = current
-    raise RuntimeError(
-        f"2-d quadrature did not converge below {quad.tol} by "
-        f"{n_rad} x {n_ang} nodes"
-    )
+    nodes = (quad.radial_nodes, quad.angular_nodes)
+    return _refine(estimate, nodes, quad, "2-d quadrature")
 
 
 def classical_fidelity(gain, n_min, n_max):

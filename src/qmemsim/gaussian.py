@@ -1,4 +1,4 @@
-"""Gaussian states over labeled canonical modes and their linear dynamics.
+"""Gaussian states over named modes, linear symplectic maps, homodyne conditioning.
 
 Conventions used throughout the package:
 
@@ -8,7 +8,9 @@ Conventions used throughout the package:
 * the symplectic form is block diagonal with ``[[0, 1], [-1, 0]]`` per mode.
 
 States are immutable value objects; every operation returns a new state.
-Measurement sampling takes the random source explicitly.
+Maps are linear: displacements go through :func:`displace` or a feedback
+step, never through a :class:`SymplecticMap`.  Measurement sampling takes
+the random source explicitly.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "ModeLabel",
     "GaussianState",
     "SymplecticMap",
     "symplectic_form",
@@ -47,14 +48,6 @@ UNCERTAINTY_TOL = 1e-9
 VACUUM_VAR = 0.5
 
 
-@dataclass(frozen=True)
-class ModeLabel:
-    """A named canonical mode and its position in a state's mode list."""
-
-    name: str
-    index: int
-
-
 def symplectic_form(n_modes):
     """The 2n x 2n symplectic form in XP ordering."""
     omega = np.zeros((2 * n_modes, 2 * n_modes))
@@ -77,35 +70,30 @@ def symplectic_eigenvalues(cov):
 
 
 class GaussianState:
-    """Mean vector and covariance matrix over an ordered list of modes."""
+    """Mean vector and covariance matrix over an ordered tuple of mode names."""
 
-    __slots__ = ("modes", "mean", "cov")
+    __slots__ = ("mode_names", "mean", "cov")
 
     def __init__(self, modes, mean, cov, copy=True):
-        labels = []
-        seen = set()
-        for i, m in enumerate(modes):
-            name = m.name if isinstance(m, ModeLabel) else str(m)
-            if name in seen:
-                raise ValueError(f"duplicate mode name {name!r}")
-            seen.add(name)
-            labels.append(ModeLabel(name, i))
-        if not labels:
+        names = tuple(map(str, modes))
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate mode name in {names}")
+        if not names:
             raise ValueError("a state needs at least one mode")
 
         mean = np.array(mean, dtype=float, copy=copy).reshape(-1)
         cov = np.array(cov, dtype=float, copy=copy)
-        dim = 2 * len(labels)
+        dim = 2 * len(names)
         if mean.shape != (dim,) or cov.shape != (dim, dim):
             raise ValueError(
                 f"moments of shape {mean.shape}/{cov.shape} do not match "
-                f"{len(labels)} modes"
+                f"{len(names)} modes"
             )
         scale = max(1.0, np.abs(cov).max())
         if np.abs(cov - cov.T).max() > SYMMETRY_TOL * scale:
             raise ValueError("covariance matrix is not symmetric")
 
-        object.__setattr__(self, "modes", tuple(labels))
+        object.__setattr__(self, "mode_names", names)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
         mean.flags.writeable = False
@@ -118,18 +106,13 @@ class GaussianState:
 
     @property
     def n_modes(self):
-        return len(self.modes)
-
-    @property
-    def mode_names(self):
-        return tuple(m.name for m in self.modes)
+        return len(self.mode_names)
 
     def mode_index(self, mode):
-        name = mode.name if isinstance(mode, ModeLabel) else str(mode)
-        for m in self.modes:
-            if m.name == name:
-                return m.index
-        raise ValueError(f"unknown mode {name!r}")
+        name = str(mode)
+        if name not in self.mode_names:
+            raise ValueError(f"unknown mode {name!r}")
+        return self.mode_names.index(name)
 
     def quad_indices(self, mode):
         """(index of X, index of P) for a mode."""
@@ -158,11 +141,6 @@ class GaussianState:
         ix, ip = self.quad_indices(mode)
         return float(self.mean[ix]), float(self.mean[ip])
 
-    def mode_cov(self, mode):
-        ix, ip = self.quad_indices(mode)
-        idx = np.ix_([ix, ip], [ix, ip])
-        return self.cov[idx].copy()
-
     def __repr__(self):
         names = ", ".join(self.mode_names)
         return f"GaussianState([{names}], mean={self.mean!r})"
@@ -181,19 +159,14 @@ def assert_physical(state, tol=UNCERTAINTY_TOL):
 
 @dataclass(frozen=True)
 class SymplecticMap:
-    """Affine phase-space map ``v -> S v + d`` with symplectic ``S``."""
+    """Linear phase-space map ``v -> S v`` with symplectic ``S`` (read-only)."""
 
     matrix: np.ndarray
-    displacement: np.ndarray = None
 
     def __post_init__(self):
         s = np.array(self.matrix, dtype=float)
         if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] % 2:
             raise ValueError(f"matrix shape {s.shape} is not 2M x 2M")
-        d = self.displacement
-        d = np.zeros(s.shape[0]) if d is None else np.array(d, dtype=float)
-        if d.shape != (s.shape[0],):
-            raise ValueError("displacement length does not match matrix")
         omega = symplectic_form(s.shape[0] // 2)
         defect = np.abs(s.T @ omega @ s - omega).max()
         if defect > SYMPLECTIC_TOL:
@@ -202,9 +175,7 @@ class SymplecticMap:
                 f"{SYMPLECTIC_TOL})"
             )
         object.__setattr__(self, "matrix", s)
-        object.__setattr__(self, "displacement", d)
         s.flags.writeable = False
-        d.flags.writeable = False
 
     @property
     def n_modes(self):
@@ -229,14 +200,12 @@ class SymplecticMap:
         if len(positions) != self.n_modes:
             raise ValueError("one position per map mode required")
         big = np.eye(2 * n_modes)
-        disp = np.zeros(2 * n_modes)
         for i, pi in enumerate(positions):
-            disp[2 * pi : 2 * pi + 2] = self.displacement[2 * i : 2 * i + 2]
             for j, pj in enumerate(positions):
                 big[2 * pi : 2 * pi + 2, 2 * pj : 2 * pj + 2] = self.matrix[
                     2 * i : 2 * i + 2, 2 * j : 2 * j + 2
                 ]
-        return SymplecticMap(big, disp)
+        return SymplecticMap(big)
 
 
 # -- state constructors -----------------------------------------------------
@@ -267,6 +236,11 @@ def single_mode(name, x=0.0, p=0.0, var_x=VACUUM_VAR, var_p=VACUUM_VAR, cov_xp=0
 # -- operations ---------------------------------------------------------------
 
 
+def _quads(indices):
+    """Positions ``(2i, 2i + 1)`` of the X and P quadratures of each mode index."""
+    return [q for i in indices for q in (2 * i, 2 * i + 1)]
+
+
 def mean_photon_number(state, mode):
     """Mean of ``(X^2 + P^2 - 1) / 2`` in the given mode."""
     mx, mp = state.mode_mean(mode)
@@ -276,15 +250,17 @@ def mean_photon_number(state, mode):
 
 
 def apply_symplectic(state, smap):
-    """Evolve the state: mean -> S mean + d, cov -> S cov S^T."""
+    """Evolve the state: mean -> S mean, cov -> S cov S^T."""
     if smap.n_modes != state.n_modes:
         raise ValueError(
             f"map acts on {smap.n_modes} modes, state has {state.n_modes}"
         )
     s = smap.matrix
+    # + 0.0 turns a -0.0 into +0.0, so no mean leaves a map holding -0.0,
+    # whichever way the numpy build's matmul accumulates
     return GaussianState(
-        state.modes,
-        s @ state.mean + smap.displacement,
+        state.mode_names,
+        s @ state.mean + 0.0,
         s @ state.cov @ s.T,
         copy=False,
     )
@@ -296,7 +272,7 @@ def displace(state, mode, dx, dp):
     mean = state.mean.copy()
     mean[ix] += dx
     mean[ip] += dp
-    return GaussianState(state.modes, mean, state.cov, copy=False)
+    return GaussianState(state.mode_names, mean, state.cov, copy=False)
 
 
 def partial_trace(state, keep):
@@ -305,10 +281,8 @@ def partial_trace(state, keep):
     if not keep:
         raise ValueError("must keep at least one mode")
     indices = [state.mode_index(m) for m in keep]
-    quads = []
-    for i in indices:
-        quads.extend((2 * i, 2 * i + 1))
-    names = [state.modes[i].name for i in indices]
+    quads = _quads(indices)
+    names = [state.mode_names[i] for i in indices]
     return GaussianState(
         names, state.mean[quads], state.cov[np.ix_(quads, quads)], copy=False
     )
@@ -337,7 +311,7 @@ class HomodyneUpdate:
     serve any number of outcomes.
     """
 
-    modes: tuple  # names of the modes left after the measured one
+    mode_names: tuple  # the modes left after the measured one
     mu_q: float  # marginal mean of the measured quadrature
     var_q: float  # marginal variance of the measured quadrature
     mean_r: np.ndarray
@@ -380,16 +354,14 @@ def homodyne_update(state, mode, quadrature="x"):
 
     drop = state.mode_index(mode)
     rest = [i for i in range(state.n_modes) if i != drop]
-    quads = []
-    for i in rest:
-        quads.extend((2 * i, 2 * i + 1))
+    quads = _quads(rest)
     mean_r = state.mean[quads]
     cov_rr = state.cov[np.ix_(quads, quads)]
     cov_rq = state.cov[quads, q]
     cov_c = cov_rr if var_q <= 0.0 else cov_rr - np.outer(cov_rq, cov_rq) / var_q
     for array in (mean_r, cov_rq, cov_c):
         array.flags.writeable = False
-    names = tuple(state.modes[i].name for i in rest)
+    names = tuple(state.mode_names[i] for i in rest)
     return HomodyneUpdate(names, mu_q, var_q, mean_r, cov_rq, cov_c)
 
 
@@ -407,4 +379,4 @@ def homodyne_measure(state, mode, quadrature="x", rng=None, fixed_outcome=None):
     """
     update = homodyne_update(state, mode, quadrature)
     outcome, mean = update.condition(rng, fixed_outcome)
-    return outcome, GaussianState(update.modes, mean, update.cov, copy=False)
+    return outcome, GaussianState(update.mode_names, mean, update.cov, copy=False)

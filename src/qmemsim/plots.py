@@ -18,13 +18,6 @@ def _fmt(value):
     return f"{value:.2f}"
 
 
-def _panel_header(title):
-    return (
-        f'<text x="{_WIDTH // 2}" y="20" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{title}</text>'
-    )
-
-
 def _axes(x0, y0, x1, y1):
     return (
         f'<line x1="{x0}" y1="{y1}" x2="{x1}" y2="{y1}" stroke="black"/>'

@@ -125,9 +125,9 @@ def interaction_map(coupling):
     return SymplecticMap(s)
 
 
-def initial_atoms(params, name=ATOMS):
+def initial_atoms(params):
     """Fresh atomic mode with the configured initial variances."""
-    return single_mode(name, var_x=params.atom_var_x, var_p=params.atom_var_p)
+    return single_mode(ATOMS, var_x=params.atom_var_x, var_p=params.atom_var_p)
 
 
 def _feedback_average(joint, measured_mode, quadrature, targets):
@@ -144,7 +144,7 @@ def _feedback_average(joint, measured_mode, quadrature, targets):
         lin[joint.quad_index(mode, quad), q] += gain
     mean = lin @ joint.mean
     cov = lin @ joint.cov @ lin.T
-    measured = joint.modes[joint.mode_index(measured_mode)].name
+    measured = joint.mode_names[joint.mode_index(measured_mode)]
     keep = [name for name in joint.mode_names if name != measured]
     reduced = GaussianState(joint.mode_names, mean, cov, copy=False)
     return partial_trace(reduced, keep)
@@ -190,7 +190,7 @@ def store_conditional(input_light, params, rng=None, fixed_outcome=None):
     # turns a -0.0 into +0.0 exactly as displace(state, mode, 0.0, dp) does
     mean[0] += 0.0
     mean[1] += -params.gain * outcome
-    return outcome, GaussianState(update.modes, mean, update.cov, copy=False)
+    return outcome, GaussianState(update.mode_names, mean, update.cov, copy=False)
 
 
 def store_average(input_light, params):
@@ -220,17 +220,13 @@ def store_channel(params):
     )
 
 
-def readout_map(atomic_state, readout_coupling, fresh_light=None):
+def readout_map(atomic_state, readout_coupling):
     """Joint (light, atoms) state after the verification interaction.
 
-    The verification light's X quadrature carries
+    The verification light starts in vacuum and its X quadrature carries
     ``X_in + readout_coupling * P_mem``.
     """
-    if fresh_light is None:
-        fresh_light = vacuum_state([VERIFY])
-    if fresh_light.n_modes != 1:
-        raise ValueError("verification light must be a single mode")
-    joint = tensor(fresh_light, atomic_state)
+    joint = tensor(vacuum_state([VERIFY]), atomic_state)
     return apply_symplectic(joint, interaction_map(readout_coupling))
 
 
@@ -270,7 +266,6 @@ def reverse_readout(
     params,
     reverse_gain=1.0,
     aux_coupling=1.0,
-    readout_light=None,
     aux_light=None,
 ):
     """Retrieve the memory onto light: the storage steps with roles swapped.
@@ -291,13 +286,8 @@ def reverse_readout(
         raise ValueError("expected a single atomic mode")
     if aux_coupling <= 0:
         raise ValueError("auxiliary coupling must be positive")
-    light = vacuum_state(["readout"]) if readout_light is None else readout_light
-    if light.n_modes != 1:
-        raise ValueError("readout light must be a single mode")
-    light_name = light.mode_names[0]
-    atoms_name = atomic_state.mode_names[0]
-
-    joint = tensor(light, atomic_state)
+    light_name = "readout"
+    joint = tensor(vacuum_state([light_name]), atomic_state)
     joint = apply_symplectic(joint, interaction_map(params.coupling))
 
     # auxiliary measurement of the (post-interaction) atomic X

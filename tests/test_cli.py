@@ -95,6 +95,10 @@ class TestStore:
         assert run(tmp_path, "store", STORE_CONFIG, ["--seed", "8"]) == 0
         assert digest(tmp_path / "out" / "trials.csv") != base
 
+    def test_negative_seed_flag_accepted(self, tmp_path):
+        # store masks any integer seed to a 64-bit stream key
+        assert run(tmp_path, "store", STORE_CONFIG, ["--seed", "-1"]) == 0
+
     def test_format_filter(self, tmp_path):
         assert run(tmp_path, "store", STORE_CONFIG, ["--format", "json"]) == 0
         names = {p.name for p in (tmp_path / "out").iterdir()}
@@ -260,11 +264,17 @@ class TestCalibrate:
             ("n_cycles", cli.MAX_CYCLES + 1),
             ("n_cycles", 1e308),
             ("series_csv", "no/such/dir/points.csv"),
+            ("seed", -1),
         ],
     )
     def test_bad_value_exit_two(self, tmp_path, capsys, key, value):
         assert run(tmp_path, "calibrate", {key: value}) == 2
         assert key in capsys.readouterr().err
+        assert not any((tmp_path / "out").iterdir())
+
+    def test_negative_seed_flag_names_key(self, tmp_path, capsys):
+        assert run(tmp_path, "calibrate", None, ["--seed", "-1"]) == 2
+        assert "'seed'" in capsys.readouterr().err
         assert not any((tmp_path / "out").iterdir())
 
 
@@ -301,6 +311,12 @@ class TestMicroscopic:
             ({"bins": 1e12}, "bins"),
             ({"sweep_bins": cli.MAX_TIME_BINS + 1}, "sweep_bins"),
             ({"sweep_bins": 1e12}, "sweep_bins"),
+            ({"sweep": "false"}, "sweep"),
+            ({"sweep": "x"}, "sweep"),
+            ({"sweep": [1]}, "sweep"),
+            ({"sweep": 0.5}, "sweep"),
+            ({"sweep": 0}, "sweep"),
+            ({"sweep": None}, "sweep"),
         ],
     )
     def test_bad_value_exit_two(self, tmp_path, capsys, config, key):
@@ -327,6 +343,13 @@ class TestLifetime:
         config = {"coupling": 0.2, "gain": 0.2}
         assert run(tmp_path, "lifetime", config) == 3
         assert "classical" in capsys.readouterr().err
+
+    def test_overflowing_set_exits_three(self, tmp_path):
+        # the classical benchmark overflows to NaN; that is not a bad crossing
+        code, err = run_subprocess(tmp_path, "lifetime", {"n_max": 1e12})
+        assert code == 3, err
+        assert "crossing_ms" not in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "config, key",

@@ -130,6 +130,12 @@ class TestSymplecticMap:
         assert_allclose(out.mean, s @ state.mean)
         assert_allclose(out.cov, s @ state.cov @ s.T)
 
+    def test_negative_zero_mean_becomes_positive_zero(self):
+        state = single_mode("a", x=-0.0, p=-0.0)
+        out = apply_symplectic(state, SymplecticMap.identity(1))
+        assert np.all(np.signbit(state.mean))
+        assert not np.any(np.signbit(out.mean))
+
     def test_non_symplectic_matrix_rejected(self):
         bad = np.eye(2)
         bad[0, 0] = 2.0  # squeeze without the conjugate stretch
