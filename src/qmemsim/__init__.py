@@ -15,9 +15,9 @@ Subpackages by task:
 * :mod:`qmemsim.decoherence` - storage-time decay and lifetime curves;
 * :mod:`qmemsim.cli` - batch front end (``qmemsim --help``).
 
-scipy is imported inside the few functions that call it, so importing
-the package, or running a subcommand that never needs scipy, loads
-numpy alone (``tests/test_imports.py`` checks this).
+Only ``qmemsim store`` loads scipy (``scipy.special.ndtri``, imported
+inside ``rng.trial_normals``); importing the package and the other four
+subcommands need numpy alone (``tests/test_imports.py`` checks this).
 """
 
 from .fidelity import (

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -71,6 +72,19 @@ def _write_csv(path, header, rows):
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
+
+
+def _finite_rows(rows):
+    """``rows`` as a list; raises ``ValueError`` on a NaN or infinity.
+
+    Applied to a CSV writer's rows before :func:`_write_csv` opens the file.
+    """
+    rows = [list(row) for row in rows]
+    for row in rows:
+        for value in row:
+            if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+                raise ValueError(f"{value} in CSV output")
+    return rows
 
 
 def _write_trials_csv(path, series):
@@ -152,9 +166,16 @@ def _boolean(raw):
     return raw
 
 
+def _integer(raw):
+    """A JSON integer, or a float with an integral value such as ``1e4``."""
+    if type(raw) is int or (type(raw) is float and raw.is_integer()):
+        return int(raw)
+    raise ValueError(f"{raw!r} is not an integer")  # bool, str, 3.9, inf, ...
+
+
 def _count(low, high):
     def convert(raw):
-        value = int(raw)
+        value = _integer(raw)
         if not low <= value <= high:
             raise ValueError(f"{value} is outside [{low}, {high}]")
         return value
@@ -179,7 +200,7 @@ STORE_FIELDS = {
     "input_x": (_finite, _REQUIRED),
     "input_p": (_finite, _REQUIRED),
     "n_trials": (_count(montecarlo.MIN_TRIALS, MAX_TRIALS), 10_000),
-    "seed": (int, 0),
+    "seed": (_integer, 0),
     "histogram_bins": (_count(montecarlo.MIN_BINS, MAX_HISTOGRAM_BINS), 60),
     **_STORAGE_FIELDS,
 }
@@ -232,7 +253,7 @@ def compute_store(cfg):
         "histograms.csv": lambda path: _write_csv(
             path,
             ["arm", "bin_left", "bin_right", "count"],
-            (
+            _finite_rows(
                 (arm, h.bin_edges[i], h.bin_edges[i + 1], int(h.counts[i]))
                 for arm, h in sorted(hists.items())
                 for i in range(len(h.counts))
@@ -300,13 +321,13 @@ def compute_fidelity(cfg):
         "fidelity.csv": lambda path: _write_csv(
             path,
             ["label", "gain_x", "gain_p", "var_x", "var_p", "value"],
-            (
+            _finite_rows(
                 [label] + ["" if v is None else v for v in rest]
                 for label, *rest in rows
             ),
         ),
         "boundaries.csv": lambda path: _write_csv(
-            path, ["label", "value"], sorted(boundaries.items())
+            path, ["label", "value"], _finite_rows(sorted(boundaries.items()))
         ),
         "fidelity.json": lambda path: _write_json(
             path,
@@ -423,7 +444,7 @@ def compute_microscopic(cfg):
         outputs["microscopic_sweep.csv"] = lambda path: _write_csv(
             path,
             list(sweep_rows[0].keys()),
-            (list(r.values()) for r in sweep_rows),
+            _finite_rows(r.values() for r in sweep_rows),
         )
     return outputs
 
@@ -467,7 +488,7 @@ def compute_lifetime(cfg):
         "lifetime.csv": lambda path: _write_csv(
             path,
             ["t_ms", "fidelity", "classical_limit"],
-            ((t * 1e3, f, f_class) for t, f in zip(times, fids)),
+            _finite_rows((t * 1e3, f, f_class) for t, f in zip(times, fids)),
         ),
         "lifetime.json": lambda path: _write_json(
             path,
@@ -562,6 +583,8 @@ def main(argv=None):
             try:
                 write(path)
             except (ValueError, *_NUMERICAL) as exc:
+                for done in written:  # no partial set of outputs
+                    done.unlink()
                 return _fail(3, f"numerical failure: {path}: {exc}")
             written.append(path)
     for path in written:

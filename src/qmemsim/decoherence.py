@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._solvers import brentq
 from .fidelity import average_fidelity, optimize_classical_gain
 from .gaussian import GaussianState
 from .protocol import store_channel
@@ -110,8 +111,6 @@ def calibrate_tau(
     beats it and ``ValueError`` if it still beats it at the shortest
     ``tau`` of the bracket (the crossing is too short to calibrate).
     """
-    from scipy.optimize import brentq
-
     _, f_class = optimize_classical_gain(cset.n_min, cset.n_max)
     if not np.isfinite(f_class):
         raise FloatingPointError(f"classical benchmark is {f_class} for this set")

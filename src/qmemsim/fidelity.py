@@ -16,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from ._solvers import i0e, minimize_bounded
+
 __all__ = [
     "MAX_NODES",
     "CoherentSet",
@@ -117,8 +119,6 @@ def _radial_estimate(cset, u, v, prefactor, nodes):
     ``exp(-(a + b)/2) I0((a - b)/2)``, evaluated here in scaled form for
     numerical stability at large exponents.
     """
-    from scipy.special import i0e
-
     s1, s2 = 2.0 * cset.n_min, 2.0 * cset.n_max  # alpha^2 range
     xg, wg = _gauss_legendre(nodes)
     s = 0.5 * (s2 - s1) * xg + 0.5 * (s2 + s1)
@@ -205,24 +205,22 @@ def classical_fidelity(gain, n_min, n_max):
     g = float(gain)
     c = (1.0 - g) ** 2 / (1.0 + g**2)
     half_width = 0.5 * c * (n_max - n_min)
-    if half_width > 1e-6:
-        ratio = np.sinh(half_width) / half_width
-    else:
-        ratio = 1.0 + half_width**2 / 6.0
-    return np.exp(-0.5 * c * (n_min + n_max)) * ratio / (1.0 + g**2)
+    # a huge set overflows sinh to inf and the product to NaN; callers
+    # check the result, so numpy need not warn on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        if half_width > 1e-6:
+            ratio = np.sinh(half_width) / half_width
+        else:
+            ratio = 1.0 + half_width**2 / 6.0
+        return np.exp(-0.5 * c * (n_min + n_max)) * ratio / (1.0 + g**2)
 
 
 def optimize_classical_gain(n_min, n_max, xatol=1e-9):
     """Maximize the classical fidelity over gains in (0, 1]."""
-    from scipy.optimize import minimize_scalar
-
-    result = minimize_scalar(
-        lambda g: -classical_fidelity(g, n_min, n_max),
-        bounds=(1e-9, 1.0),
-        method="bounded",
-        options={"xatol": xatol},
+    gain, value = minimize_bounded(
+        lambda g: -classical_fidelity(g, n_min, n_max), 1e-9, 1.0, xatol
     )
-    return float(result.x), float(-result.fun)
+    return float(gain), float(-value)
 
 
 def classical_variance_bound(gain):

@@ -139,6 +139,13 @@ class TestStore:
             ("n_trials", 1e12),
             ("histogram_bins", cli.MAX_HISTOGRAM_BINS + 1),
             ("histogram_bins", 1e12),
+            ("seed", 3.9),
+            ("seed", "3"),
+            ("seed", True),
+            ("n_trials", 2000.5),
+            ("n_trials", "2000"),
+            ("histogram_bins", 60.5),
+            ("histogram_bins", "60"),
         ],
     )
     def test_bad_value_exit_two(self, tmp_path, capsys, key, value):
@@ -223,6 +230,14 @@ class TestFidelity:
         assert key in err
         assert "Traceback" not in err
 
+    def test_overflowing_set_exits_three_writing_nothing(self, tmp_path):
+        # fidelity.csv once kept a nan row, next to boundaries.csv
+        code, err = run_subprocess(tmp_path, "fidelity", {"n_max": 1e12})
+        assert code == 3, err
+        assert "RuntimeWarning" not in err
+        assert "Traceback" not in err
+        assert not any((tmp_path / "out").iterdir())
+
     def test_unconverged_quadrature_stops_at_node_cap(self, tmp_path):
         config = {"quad_tol": 1e-300, "n_max": 1000.0, "gain_x": 0.9,
                   "gain_p": 0.9, "var_x": 0.8, "var_p": 0.6}
@@ -265,12 +280,29 @@ class TestCalibrate:
             ("n_cycles", 1e308),
             ("series_csv", "no/such/dir/points.csv"),
             ("seed", -1),
+            ("seed", 3.9),
+            ("seed", "3"),
+            ("seed", True),
+            ("jx_points", 10.5),
+            ("jx_points", "10"),
+            ("n_cycles", 10_000.5),
+            ("n_cycles", "10000"),
         ],
     )
     def test_bad_value_exit_two(self, tmp_path, capsys, key, value):
         assert run(tmp_path, "calibrate", {key: value}) == 2
         assert key in capsys.readouterr().err
         assert not any((tmp_path / "out").iterdir())
+
+    def test_integral_floats_accepted(self, tmp_path):
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        assert run(tmp_path / "a", "calibrate", {"seed": 3.0, "n_cycles": 1e4}) == 0
+        assert run(tmp_path / "b", "calibrate", {"seed": 3, "n_cycles": 10000}) == 0
+        for name in ("calibration_points.csv", "calibration_fit.json"):
+            assert digest(tmp_path / "a" / "out" / name) == digest(
+                tmp_path / "b" / "out" / name
+            )
 
     def test_negative_seed_flag_names_key(self, tmp_path, capsys):
         assert run(tmp_path, "calibrate", None, ["--seed", "-1"]) == 2
@@ -317,6 +349,12 @@ class TestMicroscopic:
             ({"sweep": 0.5}, "sweep"),
             ({"sweep": 0}, "sweep"),
             ({"sweep": None}, "sweep"),
+            ({"bins": 4096.5}, "bins"),
+            ({"bins": "4096"}, "bins"),
+            ({"bins": True}, "bins"),
+            ({"sweep_bins": 1024.5}, "sweep_bins"),
+            ({"sweep_bins": "1024"}, "sweep_bins"),
+            ({"sweep_bins": True}, "sweep_bins"),
         ],
     )
     def test_bad_value_exit_two(self, tmp_path, capsys, config, key):
@@ -350,6 +388,8 @@ class TestLifetime:
         assert code == 3, err
         assert "crossing_ms" not in err
         assert "Traceback" not in err
+        assert "RuntimeWarning" not in err
+        assert not any((tmp_path / "out").iterdir())
 
     @pytest.mark.parametrize(
         "config, key",
@@ -387,6 +427,22 @@ def test_byte_identical_rerun(tmp_path, command):
     assert run(tmp_path, command, config) == 0
     second = {p.name: digest(p) for p in (tmp_path / "out").iterdir()}
     assert first == second
+
+
+def test_failed_write_removes_earlier_outputs(tmp_path, monkeypatch, capsys):
+    def compute(cfg):
+        def fail(path):
+            raise ValueError("nan in CSV output")
+
+        return {
+            "first.json": lambda path: cli._write_json(path, {"x": 1.0}),
+            "second.csv": fail,
+        }
+
+    monkeypatch.setitem(cli._COMMANDS, "fidelity", (cli.FIDELITY_FIELDS, compute))
+    assert run(tmp_path, "fidelity") == 3
+    assert "second.csv" in capsys.readouterr().err
+    assert not any((tmp_path / "out").iterdir())
 
 
 def test_unread_keys_are_still_checked(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Start-up guard: scipy is loaded only by the functions that call it.
+"""Start-up guard: only ``store`` loads scipy, for its normal sampler.
 
 Each check runs in a fresh interpreter, since this test session has long
 since imported scipy itself.
@@ -60,6 +60,8 @@ def test_import_loads_no_scipy(tmp_path, code):
     [
         ("microscopic", {"bins": 4096, "sweep_bins": 1024}),
         ("calibrate", {"jx_points": 10, "n_cycles": 1000}),
+        ("fidelity", {"n_max": 4.0}),
+        ("lifetime", {"t_max_ms": 1.0, "t_step_ms": 0.5}),
     ],
 )
 def test_numpy_only_subcommands_load_no_scipy(tmp_path, command, config):
@@ -67,18 +69,8 @@ def test_numpy_only_subcommands_load_no_scipy(tmp_path, command, config):
 
 
 def test_store_loads_special_only(tmp_path):
+    # also the positive control: the probe does see a scipy import
     config = {"input_x": 0.0, "input_p": -4.0, "n_trials": 200}
     loaded = run_cli(tmp_path, "store", config)
     assert "scipy.special" in loaded
     assert not any(m.startswith("scipy.optimize") for m in loaded)
-
-
-def test_fidelity_quadrature_loads_special(tmp_path):
-    # positive control: the probe does see a scipy import when one happens
-    code = (
-        "from qmemsim.fidelity import CoherentSet, average_fidelity\n"
-        "from qmemsim.protocol import ChannelSummary\n"
-        "average_fidelity(CoherentSet(0.0, 8.0),"
-        " ChannelSummary(1.0, 1.0, 1.0, 0.5))"
-    )
-    assert "scipy.special" in scipy_loaded_after(tmp_path, code)
