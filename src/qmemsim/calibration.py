@@ -17,7 +17,7 @@ import numpy as np
 from .fidelity import average_fidelity
 
 __all__ = [
-    "CalibrationPoint",
+    "CalibrationSeries",
     "CalibrationFit",
     "synthesize_series",
     "fit_pnl",
@@ -28,18 +28,36 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CalibrationPoint:
-    """One spin-size setting: measured normalized noise and its error."""
+_COLUMNS = ["jx_proxy", "normalized_noise", "se", "n_cycles"]
 
-    jx_proxy: float
-    normalized_noise: float
-    se: float
-    n_cycles: int
+
+@dataclass(frozen=True, eq=False)
+class CalibrationSeries:
+    """Spin-size settings as columns; row ``i`` is one measured point.
+
+    ``jx_proxy``, ``normalized_noise`` and ``se`` are float arrays and
+    ``n_cycles`` an integer array, all of one length.  Every value is
+    finite, ``jx_proxy >= 0``, ``se > 0`` and ``n_cycles >= 2``.
+    """
+
+    jx_proxy: np.ndarray
+    normalized_noise: np.ndarray
+    se: np.ndarray
+    n_cycles: np.ndarray
 
     def __post_init__(self):
-        if self.n_cycles < 2:
-            raise ValueError("variance estimation needs n_cycles >= 2")
+        for name, dtype in zip(_COLUMNS, (float, float, float, np.int64)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        if not all(np.isfinite(getattr(self, name)).all() for name in _COLUMNS):
+            raise ValueError("calibration values must be finite")
+        bounds = {"jx_proxy >= 0": self.jx_proxy >= 0, "se > 0": self.se > 0,
+                  "n_cycles >= 2": self.n_cycles >= 2}  # variance needs two cycles
+        for bound, holds in bounds.items():
+            if not holds.all():
+                raise ValueError(f"every point needs {bound}")
+
+    def __len__(self):
+        return self.se.size
 
 
 @dataclass(frozen=True)
@@ -61,70 +79,63 @@ def synthesize_series(slope, quadratic_coeff, jx_values, n_cycles, seed):
     ``slope * jx + quadratic_coeff * jx**2``.  Each point estimates the
     output and input (shot) noise variances from ``n_cycles`` pseudo
     trials, so both sample variances carry exact chi-squared statistics.
+    Raises ``FloatingPointError`` if a synthesised value is not finite.
     """
-    rng = np.random.default_rng(seed)
+    jx = np.asarray(jx_values, dtype=float)
     nu = n_cycles - 1
-    points = []
-    for jx in jx_values:
-        if jx < 0:
-            raise ValueError("spin-size proxy must be nonnegative")
-        truth = slope * jx + quadratic_coeff * jx**2
-        s2_out = (1.0 + truth) * rng.chisquare(nu) / nu
-        s2_in = rng.chisquare(nu) / nu
-        ratio = s2_out / s2_in
-        points.append(
-            CalibrationPoint(
-                jx_proxy=float(jx),
-                normalized_noise=ratio - 1.0,
-                se=ratio * 2.0 / np.sqrt(nu),
-                n_cycles=n_cycles,
-            )
-        )
-    return points
+    # row i holds point i's output then input draw, the order of 2n scalar draws
+    draws = np.random.default_rng(seed).chisquare(nu, size=(jx.size, 2))
+    # float_power is libm pow, as for a scalar; an array's jx**2 is jx*jx
+    with np.errstate(over="ignore", invalid="ignore"):
+        truth = slope * jx + quadratic_coeff * np.float_power(jx, 2.0)
+        ratio = ((1.0 + truth) * draws[:, 0] / nu) / (draws[:, 1] / nu)
+        noise, se = ratio - 1.0, ratio * 2.0 / np.sqrt(nu)
+    if not (np.isfinite(noise).all() and np.isfinite(se).all()):
+        raise FloatingPointError("synthesised noise or its error is not finite")
+    return CalibrationSeries(jx, noise, se, np.full(jx.size, n_cycles))
 
 
-def fit_pnl(points, jx_max=None):
+def fit_pnl(series, jx_max=None):
     """Weighted least squares of noise = slope * jx with zero intercept.
 
     Only points with ``jx <= jx_max`` enter the linear fit (default: the
     median proxy value, i.e. the lower half of the points).  A secondary
     two-parameter fit over all points reports the quadratic coefficient
-    as a contamination diagnostic.
+    as a contamination diagnostic.  Raises ``FloatingPointError`` if the
+    weights ``1 / se**2`` or the weighted sums over- or underflow.
     """
-    if not points:
+    if not len(series):
         raise ValueError("no calibration points")
-    jx_all = np.array([p.jx_proxy for p in points])
-    y_all = np.array([p.normalized_noise for p in points])
-    se_all = np.array([p.se for p in points])
-    if jx_max is None:
-        jx_max = float(np.median(jx_all))
+    jx_all, y_all = series.jx_proxy, series.normalized_noise
+    jx_max = float(np.median(jx_all)) if jx_max is None else jx_max
     mask = jx_all <= jx_max
-    if mask.sum() < 3:
+    n_used = int(mask.sum())
+    if n_used < 3:
         raise ValueError(f"need >= 3 points with jx <= {jx_max}")
-    if np.any(se_all <= 0):
-        raise ValueError("all points need positive standard errors")
-
-    x, y, w = jx_all[mask], y_all[mask], 1.0 / se_all[mask] ** 2
-    sxx = float(np.sum(w * x * x))
-    if sxx == 0.0:
+    # extreme se or jx overflow here; the checks below report it once
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        w_all = 1.0 / series.se**2
+        x, y, w = jx_all[mask], y_all[mask], w_all[mask]
+        sxx = np.sum(w * x * x)
+        slope = np.sum(w * x * y) / sxx
+        resid = y - slope * x
+        chi2_per_dof = np.sum(w * resid**2) / (n_used - 1)
+        # quadratic contamination diagnostic over the full range
+        design = np.stack([jx_all, jx_all**2], axis=1) * np.sqrt(w_all)[:, None]
+        target = y_all * np.sqrt(w_all)
+    if not np.any(x):
         raise ValueError("degenerate fit: all selected jx are zero")
-    slope = float(np.sum(w * x * y)) / sxx
-    slope_se = 1.0 / np.sqrt(sxx)
-    resid = y - slope * x
-    chi2_per_dof = float(np.sum(w * resid**2)) / max(mask.sum() - 1, 1)
-
-    # quadratic contamination diagnostic over the full range
-    w_all = 1.0 / se_all**2
-    design = np.stack([jx_all, jx_all**2], axis=1) * np.sqrt(w_all)[:, None]
-    target = y_all * np.sqrt(w_all)
+    values = (w_all, [sxx, slope, chi2_per_dof], design, target)
+    if not (np.all(w_all > 0) and all(np.isfinite(v).all() for v in values)):
+        raise FloatingPointError("weights 1/se**2 or the fit's sums over- or underflow")
     coeffs, *_ = np.linalg.lstsq(design, target, rcond=None)
 
     return CalibrationFit(
-        slope=slope,
-        slope_se=slope_se,
+        slope=float(slope),
+        slope_se=1.0 / np.sqrt(sxx),
         quadratic_coeff=float(coeffs[1]),
-        chi2_per_dof=chi2_per_dof,
-        n_used=int(mask.sum()),
+        chi2_per_dof=float(chi2_per_dof),
+        n_used=n_used,
         jx_cut=float(jx_max),
     )
 
@@ -167,31 +178,18 @@ def pnl_sensitivity(channel, cset, rescale=0.10, quad=None):
     )
 
 
-_CSV_HEADER = ["jx_proxy", "normalized_noise", "se", "n_cycles"]
-
-
-def write_points_csv(points, path):
+def write_points_csv(series, path):
+    rows = zip(*(getattr(series, name).tolist() for name in _COLUMNS))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_CSV_HEADER)
-        for p in points:
-            writer.writerow(
-                [
-                    f"{p.jx_proxy:.17g}",
-                    f"{p.normalized_noise:.17g}",
-                    f"{p.se:.17g}",
-                    p.n_cycles,
-                ]
-            )
+        fh.write(",".join(_COLUMNS) + "\n")
+        fh.writelines(f"{x:.17g},{y:.17g},{se:.17g},{n}\n" for x, y, se, n in rows)
 
 
 def read_points_csv(path):
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header != _CSV_HEADER:
+        if header != _COLUMNS:
             raise ValueError(f"unexpected header {header!r}")
-        return [
-            CalibrationPoint(float(a), float(b), float(c), int(d))
-            for a, b, c, d in reader
-        ]
+        rows = [(float(a), float(b), float(c), int(d)) for a, b, c, d in reader]
+    return CalibrationSeries(*(zip(*rows) if rows else [()] * 4))

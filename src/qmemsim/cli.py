@@ -42,7 +42,8 @@ ALL_FORMATS = ("csv", "json", "svg")
 #: longest lifetime curve, in time points (t_max_ms / t_step_ms)
 MAX_CURVE_POINTS = 100_000
 # Caps on the count keys: the largest accepted run stays well under 1 GiB
-# peak RSS (about 200 MiB for store, 350 MiB for calibrate and microscopic).
+# peak RSS (about 200 MiB for store, 230 MiB for calibrate and 350 MiB for
+# microscopic).
 MAX_TRIALS = 1_000_000  # per verification arm
 MAX_HISTOGRAM_BINS = 100_000
 MAX_JX_POINTS = 1_000_000
@@ -359,17 +360,17 @@ CALIBRATE_FIELDS = {
 def compute_calibrate(cfg):
     if cfg["series_csv"] is not None:
         try:
-            points = calibration.read_points_csv(cfg["series_csv"])
-        except (OSError, ValueError) as exc:
+            series = calibration.read_points_csv(cfg["series_csv"])
+        except (OSError, ValueError, OverflowError) as exc:  # n_cycles past int64
             raise ValueError(f"bad value for 'series_csv': {exc}")
     else:
         jx = np.linspace(cfg["jx_min"], cfg["jx_max"], cfg["jx_points"])
-        points = calibration.synthesize_series(
+        series = calibration.synthesize_series(
             cfg["slope_per_unit"], cfg["quadratic_coeff"], jx, cfg["n_cycles"], cfg["seed"]
         )
-    fit = calibration.fit_pnl(points, cfg["fit_jx_max"])
+    fit = calibration.fit_pnl(series, cfg["fit_jx_max"])
     return {
-        "calibration_points.csv": lambda path: calibration.write_points_csv(points, path),
+        "calibration_points.csv": lambda path: calibration.write_points_csv(series, path),
         "calibration_fit.json": lambda path: _write_json(
             path,
             {

@@ -28,6 +28,9 @@ __all__ = [
     "crossing_time",
 ]
 
+#: range of coherence times (s) searched by :func:`calibrate_tau`
+TAU_BRACKET = (1e-5, 1.0)
+
 
 @dataclass(frozen=True)
 class DecayParams:
@@ -94,14 +97,7 @@ def fidelity_vs_time(cset, storage_params, decay, times, quad=None):
     )
 
 
-def calibrate_tau(
-    cset,
-    storage_params,
-    crossing,
-    excess_noise_rate=0.0,
-    tau_bracket=(1e-5, 1.0),
-    quad=None,
-):
+def calibrate_tau(cset, storage_params, crossing, excess_noise_rate=0.0, quad=None):
     """Coherence time for which the fidelity meets the classical optimum.
 
     Root-finds ``tau`` such that the decayed channel's fidelity at
@@ -120,7 +116,7 @@ def calibrate_tau(
         params = DecayParams(tau, excess_noise_rate)
         return average_fidelity(cset, decay_channel(base, crossing, params), quad) - f_class
 
-    lo, hi = tau_bracket
+    lo, hi = TAU_BRACKET
     if gap(hi) <= 0:
         raise RuntimeError(
             "channel never beats the classical benchmark; cannot calibrate"

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qmemsim.calibration import (
-    CalibrationPoint,
+    CalibrationSeries,
     coupling_squared_from_noise,
     fit_pnl,
     pnl_sensitivity,
@@ -20,24 +22,42 @@ JX = np.linspace(0.1, 2.0, 10)
 
 
 def exact_points(slope, quad_coeff, jx_values, se=0.01):
-    return [
-        CalibrationPoint(x, slope * x + quad_coeff * x**2, se, 1000)
-        for x in jx_values
-    ]
+    jx = np.asarray(jx_values, dtype=float)
+    n = jx.size
+    return CalibrationSeries(jx, slope * jx + quad_coeff * jx**2,
+                             np.full(n, se), np.full(n, 1000))
+
+
+def reference_series(slope, quadratic_coeff, jx_values, n_cycles, seed):
+    """The per-point synthesis loop, one scalar draw at a time."""
+    rng = np.random.default_rng(seed)
+    nu = n_cycles - 1
+    points = []
+    for jx in jx_values:
+        if jx < 0:
+            raise ValueError("spin-size proxy must be nonnegative")
+        truth = slope * jx + quadratic_coeff * jx**2
+        s2_out = (1.0 + truth) * rng.chisquare(nu) / nu
+        s2_in = rng.chisquare(nu) / nu
+        ratio = s2_out / s2_in
+        points.append((float(jx), ratio - 1.0, ratio * 2.0 / np.sqrt(nu)))
+    return [np.array([p[i] for p in points], dtype=float) for i in range(3)]
+
+
+def columns(series):
+    return (series.jx_proxy, series.normalized_noise, series.se, series.n_cycles)
 
 
 class TestSynthesize:
     def test_large_cycles_approach_exact_line(self):
-        points = synthesize_series(0.5, 0.0, JX, 1_000_000, seed=0)
-        for p in points:
-            assert p.normalized_noise == pytest.approx(
-                0.5 * p.jx_proxy, abs=5 * p.se
-            )
-            assert p.se < 0.01
+        series = synthesize_series(0.5, 0.0, JX, 1_000_000, seed=0)
+        assert np.all(np.abs(series.normalized_noise - 0.5 * series.jx_proxy)
+                      <= 5 * series.se)
+        assert np.all(series.se < 0.01)
 
     def test_zero_coupling_is_pure_shot_noise(self):
-        points = synthesize_series(0.0, 0.0, JX, 50_000, seed=1)
-        pulls = [p.normalized_noise / p.se for p in points]
+        series = synthesize_series(0.0, 0.0, JX, 50_000, seed=1)
+        pulls = series.normalized_noise / series.se
         assert np.abs(pulls).max() < 5
         assert abs(np.mean(pulls)) < 2
 
@@ -49,6 +69,61 @@ class TestSynthesize:
     def test_negative_proxy_rejected(self):
         with pytest.raises(ValueError):
             synthesize_series(0.5, 0.0, [-1.0], 100, seed=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        slope=st.floats(0.0, 10.0),
+        quadratic_coeff=st.one_of(st.just(0.0), st.floats(0.01, 1.0),
+                                  st.floats(0.0, 1.0)),
+        jx_listed=st.lists(st.floats(0.0, 1e3), max_size=250),
+        jx_range=st.tuples(st.floats(0.0, 1e3), st.floats(0.0, 1e3),
+                           st.integers(0, 250)),
+        n_cycles=st.integers(2, 10**12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # one of its 250 points has x*x != pow(x, 2) (numpy 2.4.6, glibc libm)
+    @example(slope=0.5, quadratic_coeff=0.05, jx_listed=[],
+             jx_range=(0.3, 777.7, 250), n_cycles=10_000, seed=0)
+    def test_matches_per_point_loop(self, slope, quadratic_coeff, jx_listed,
+                                    jx_range, n_cycles, seed):
+        # one (n, 2) draw equals the 2n scalar draws, and float_power the
+        # scalar jx**2, byte for byte; a linspace, as the CLI builds, gives
+        # the many-digit jx whose x*x and pow(x, 2) can differ
+        jx = np.concatenate([jx_listed, np.linspace(*jx_range)])
+        series = synthesize_series(slope, quadratic_coeff, jx, n_cycles, seed)
+        expected = reference_series(slope, quadratic_coeff, jx, n_cycles, seed)
+        for got, want in zip(columns(series), expected):
+            assert got.tobytes() == want.tobytes()
+        assert np.all(series.n_cycles == n_cycles)
+
+    def test_overflow_raises_floating_point_error(self):
+        with pytest.raises(FloatingPointError, match="not finite"):
+            synthesize_series(1e308, 0.0, JX, 100, seed=0)
+        with pytest.raises(FloatingPointError, match="not finite"):
+            synthesize_series(0.5, 1.0, [1e200], 100, seed=0)
+
+
+class TestSeries:
+    @pytest.mark.parametrize(
+        "jx, noise, se, n_cycles, match",
+        [
+            ([0.1, 0.2], [0.1, np.nan], [0.1, 0.1], [10, 10], "finite"),
+            ([0.1, np.inf], [0.1, 0.1], [0.1, 0.1], [10, 10], "finite"),
+            ([0.1, 0.2], [0.1, 0.1], [0.1, -np.inf], [10, 10], "finite"),
+            ([-1e-300, 0.2], [0.1, 0.1], [0.1, 0.1], [10, 10], "jx_proxy >= 0"),
+            ([0.1, 0.2], [0.1, 0.1], [0.1, 0.0], [10, 10], "se > 0"),
+            ([0.1, 0.2], [0.1, 0.1], [0.1, -0.1], [10, 10], "se > 0"),
+            ([0.1, 0.2], [0.1, 0.1], [0.1, 0.1], [10, 1], "n_cycles >= 2"),
+        ],
+    )
+    def test_constructor_checks(self, jx, noise, se, n_cycles, match):
+        with pytest.raises(ValueError, match=match):
+            CalibrationSeries(jx, noise, se, n_cycles)
+
+    def test_len_and_dtypes(self):
+        series = CalibrationSeries([0.0, 1.0, 2.0], [0.1, 0.2, 0.3], [1, 1, 1], [2, 3, 4])
+        assert len(series) == 3
+        assert [c.dtype for c in columns(series)] == [np.float64] * 3 + [np.int64]
 
 
 class TestFit:
@@ -83,11 +158,8 @@ class TestFit:
     def test_scale_equivariance_exact(self):
         points = exact_points(1.3, 0.02, JX, se=0.05)
         scale = 3.7
-        scaled = [
-            CalibrationPoint(p.jx_proxy * scale, p.normalized_noise, p.se,
-                             p.n_cycles)
-            for p in points
-        ]
+        scaled = CalibrationSeries(points.jx_proxy * scale, points.normalized_noise,
+                                   points.se, points.n_cycles)
         a = fit_pnl(points)
         b = fit_pnl(scaled)
         assert b.slope * scale == pytest.approx(a.slope, rel=1e-14)
@@ -109,7 +181,25 @@ class TestFit:
 
     def test_empty_input(self):
         with pytest.raises(ValueError):
-            fit_pnl([])
+            fit_pnl(CalibrationSeries([], [], [], []))
+
+    def test_all_selected_jx_zero(self):
+        series = exact_points(1.0, 0.0, [0.0, 0.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match="all selected jx are zero"):
+            fit_pnl(series, jx_max=0.0)
+
+    @pytest.mark.parametrize("se", [1e160, 1e-160, 1e-200])
+    def test_weight_overflow_raises_floating_point_error(self, se):
+        # 1/se**2 is 0 or inf; this once read as "all selected jx are zero"
+        with pytest.raises(FloatingPointError, match="over- or underflow"):
+            fit_pnl(exact_points(1.0, 0.0, JX, se=se))
+
+    def test_huge_jx_raises_floating_point_error(self):
+        # jx**2 overflows the quadratic diagnostic, which would feed lstsq inf
+        series = CalibrationSeries([0.1, 0.2, 0.3, 1e200], [0.1, 0.2, 0.3, 1.0],
+                                   [0.01] * 4, [1000] * 4)
+        with pytest.raises(FloatingPointError, match="over- or underflow"):
+            fit_pnl(series, jx_max=1.0)
 
 
 class TestCouplingFromNoise:
@@ -157,7 +247,34 @@ class TestCsvRoundTrip:
         path = tmp_path / "points.csv"
         write_points_csv(points, path)
         back = read_points_csv(path)
-        assert back == points
+        for a, b in zip(columns(back), columns(points)):
+            assert a.tobytes() == b.tobytes()
+
+    def test_extreme_values_survive_io(self, tmp_path):
+        edge = [-0.0, 5e-324, 1e308]
+        series = CalibrationSeries(
+            [0.0, *edge[1:]], edge, [5e-324, 1.0, 1e308], [2, 10**12, 2**63 - 1]
+        )
+        path = tmp_path / "points.csv"
+        write_points_csv(series, path)
+        assert path.read_text().splitlines()[1] == "0,-0,4.9406564584124654e-324,2"
+        back = read_points_csv(path)
+        for a, b in zip(columns(back), columns(series)):
+            assert a.tobytes() == b.tobytes()
+
+    def test_empty_series_survives_io(self, tmp_path):
+        path = tmp_path / "points.csv"
+        write_points_csv(CalibrationSeries([], [], [], []), path)
+        assert path.read_text() == "jx_proxy,normalized_noise,se,n_cycles\n"
+        assert len(read_points_csv(path)) == 0
+
+    @pytest.mark.parametrize("row", ["0.1,nan,0.1,100", "inf,0.1,0.1,100",
+                                     "0.1,0.1,0,100", "0.1,0.1,0.1,1"])
+    def test_invalid_rows_rejected(self, tmp_path, row):
+        path = tmp_path / "points.csv"
+        path.write_text("jx_proxy,normalized_noise,se,n_cycles\n" + row + "\n")
+        with pytest.raises(ValueError):
+            read_points_csv(path)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

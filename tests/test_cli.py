@@ -294,6 +294,43 @@ class TestCalibrate:
         assert key in capsys.readouterr().err
         assert not any((tmp_path / "out").iterdir())
 
+    @pytest.mark.parametrize(
+        "row, field, value",
+        [(3, 1, "nan"), (4, 0, "inf"), (2, 2, "0"), (2, 2, "-0.01"),
+         (5, 3, str(2**63))],
+        ids=["nan-noise", "inf-jx", "zero-se", "negative-se", "n_cycles-past-int64"],
+    )
+    def test_bad_series_csv_exit_two(self, tmp_path, row, field, value):
+        # a NaN or infinity once printed LAPACK "DLASCL" lines and exited 3,
+        # and an se <= 0 did not name the key; a subprocess sees the LAPACK
+        # lines, which bypass capsys
+        rows = [[f"{0.2 * i:.17g}", f"{0.1 * i:.17g}", "0.01", "10000"]
+                for i in range(1, 11)]
+        rows[row][field] = value
+        points = tmp_path / "points.csv"
+        points.write_text("jx_proxy,normalized_noise,se,n_cycles\n"
+                          + "".join(",".join(r) + "\n" for r in rows))
+        code, err = run_subprocess(tmp_path, "calibrate", {"series_csv": str(points)})
+        assert code == 2, err
+        assert "'series_csv'" in err
+        assert "DLASCL" not in err
+        assert not any((tmp_path / "out").iterdir())
+
+    @pytest.mark.parametrize(
+        "config",
+        [{"slope_per_unit": 1e160}, {"slope_per_unit": 1e308},
+         {"quadratic_coeff": 1e308}],
+    )
+    def test_overflow_exits_three(self, tmp_path, config):
+        # 1e160 once warned "overflow encountered in square" and exited 2
+        # with "all selected jx are zero"
+        code, err = run_subprocess(tmp_path, "calibrate", config)
+        assert code == 3, err
+        assert "RuntimeWarning" not in err
+        assert "jx are zero" not in err
+        assert "Traceback" not in err
+        assert not any((tmp_path / "out").iterdir())
+
     def test_integral_floats_accepted(self, tmp_path):
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()
@@ -389,6 +426,17 @@ class TestLifetime:
         assert "crossing_ms" not in err
         assert "Traceback" not in err
         assert "RuntimeWarning" not in err
+        assert not any((tmp_path / "out").iterdir())
+
+    @pytest.mark.parametrize("config", [{"atom_var_x": 1e308},
+                                        {"excess_noise_rate": 1e308}])
+    def test_huge_variance_exits_three_without_warning(self, tmp_path, config):
+        # fidelity._channel_exponents once warned "overflow encountered in
+        # scalar multiply" on the way
+        code, err = run_subprocess(tmp_path, "lifetime", config)
+        assert code == 3, err
+        assert "RuntimeWarning" not in err
+        assert "Traceback" not in err
         assert not any((tmp_path / "out").iterdir())
 
     @pytest.mark.parametrize(

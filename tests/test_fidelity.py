@@ -157,21 +157,20 @@ class TestAverageFidelity:
         b = average_fidelity_grid(cset, channel)
         assert a == pytest.approx(b, abs=1e-8)
 
-    def test_nonconvergence_raises_with_node_counts(self):
-        quad = QuadratureSpec(radial_nodes=2, tol=1e-30, max_doublings=2)
-        with pytest.raises(RuntimeError, match="nodes"):
+    def test_nonconvergence_raises_with_node_counts(self, monkeypatch):
+        quad = QuadratureSpec(radial_nodes=2, tol=1e-30)
+        monkeypatch.setattr(fidelity, "MAX_NODES", 8)  # stops it after 2 doublings
+        with pytest.raises(RuntimeError, match="by 8 nodes"):
             average_fidelity(
                 CoherentSet(0, 8), ChannelSummary(0.9, 0.9, 0.8, 0.6), quad
             )
 
     def test_doubling_stops_at_node_cap(self, monkeypatch):
-        # the cap binds two doublings before max_doublings runs out (on the
-        # angular axis for the grid); without it the radial count reaches 256
+        # the cap binds on the radial axis, and on the angular axis for
+        # the grid
         monkeypatch.setattr(fidelity, "MAX_NODES", 64)
         cset, channel = CoherentSet(0, 1000), ChannelSummary(0.9, 0.9, 0.8, 0.6)
-        quad = QuadratureSpec(
-            radial_nodes=2, angular_nodes=16, tol=1e-300, max_doublings=7
-        )
+        quad = QuadratureSpec(radial_nodes=2, angular_nodes=16, tol=1e-300)
         with pytest.raises(RuntimeError, match="by 64 nodes"):
             average_fidelity(cset, channel, quad)
         with pytest.raises(RuntimeError, match="by 8 x 64 nodes"):
