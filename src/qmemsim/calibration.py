@@ -23,12 +23,12 @@ __all__ = [
     "fit_pnl",
     "coupling_squared_from_noise",
     "pnl_sensitivity",
-    "write_points_csv",
     "read_points_csv",
 ]
 
 
-_COLUMNS = ["jx_proxy", "normalized_noise", "se", "n_cycles"]
+#: the columns of a series, in the order of a points file's header
+COLUMNS = ["jx_proxy", "normalized_noise", "se", "n_cycles"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,9 +46,9 @@ class CalibrationSeries:
     n_cycles: np.ndarray
 
     def __post_init__(self):
-        for name, dtype in zip(_COLUMNS, (float, float, float, np.int64)):
+        for name, dtype in zip(COLUMNS, (float, float, float, np.int64)):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
-        if not all(np.isfinite(getattr(self, name)).all() for name in _COLUMNS):
+        if not all(np.isfinite(getattr(self, name)).all() for name in COLUMNS):
             raise ValueError("calibration values must be finite")
         bounds = {"jx_proxy >= 0": self.jx_proxy >= 0, "se > 0": self.se > 0,
                   "n_cycles >= 2": self.n_cycles >= 2}  # variance needs two cycles
@@ -178,18 +178,11 @@ def pnl_sensitivity(channel, cset, rescale=0.10, quad=None):
     )
 
 
-def write_points_csv(series, path):
-    rows = zip(*(getattr(series, name).tolist() for name in _COLUMNS))
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(_COLUMNS) + "\n")
-        fh.writelines(f"{x:.17g},{y:.17g},{se:.17g},{n}\n" for x, y, se, n in rows)
-
-
 def read_points_csv(path):
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header != _COLUMNS:
+        if header != COLUMNS:
             raise ValueError(f"unexpected header {header!r}")
         rows = [(float(a), float(b), float(c), int(d)) for a, b, c, d in reader]
     return CalibrationSeries(*(zip(*rows) if rows else [()] * 4))

@@ -14,14 +14,19 @@ use comma separators with LF line endings.  Exit status is 0 on success,
 2 for configuration errors (the message names the offending key), 3 for
 numerical failures such as quadrature or fit non-convergence, overflow,
 or a result that is not finite.
+
+Each ``compute_<name>(cfg)`` returns its outputs as data, ``{file name:
+value}``: a table ``(header, block, ...)`` for ``.csv``, a document dict
+for ``.json`` and a zero-argument drawer for ``.svg``.  ``main`` alone
+writes them, choosing the writer from the file suffix (``_WRITERS``).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
+import functools
+import itertools
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -42,7 +47,7 @@ ALL_FORMATS = ("csv", "json", "svg")
 #: longest lifetime curve, in time points (t_max_ms / t_step_ms)
 MAX_CURVE_POINTS = 100_000
 # Caps on the count keys: the largest accepted run stays well under 1 GiB
-# peak RSS (about 200 MiB for store, 230 MiB for calibrate and 350 MiB for
+# peak RSS (about 160 MiB for store, 230 MiB for calibrate and 350 MiB for
 # microscopic).
 MAX_TRIALS = 1_000_000  # per verification arm
 MAX_HISTOGRAM_BINS = 100_000
@@ -57,65 +62,45 @@ class ConfigError(Exception):
     pass
 
 
-def _fmt(value):
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value)).lower()
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
-    return str(value)
+def _write_table(path, table):
+    """Write ``(header, block, ...)`` as CSV, one block at a time.
 
-
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
-def _finite_rows(rows):
-    """``rows`` as a list; raises ``ValueError`` on a NaN or infinity.
-
-    Applied to a CSV writer's rows before :func:`_write_csv` opens the file.
+    A block is a tuple of equal-length columns: numpy arrays or plain
+    iterables such as ``range``.  Float arrays are written to 17
+    significant digits and every other value with ``str``; iterators are
+    consumed, so a table is written once.  Raises ``ValueError`` on a NaN
+    or infinity, before opening ``path``.
     """
-    rows = [list(row) for row in rows]
-    for row in rows:
-        for value in row:
-            if isinstance(value, (float, np.floating)) and not math.isfinite(value):
-                raise ValueError(f"{value} in CSV output")
-    return rows
-
-
-def _write_trials_csv(path, series):
-    """``trials.csv`` from the columns; the bytes :func:`_write_csv` gives."""
+    header, *blocks = table
+    for column in (c for block in blocks for c in block):
+        if _is_float(column) and not np.isfinite(column).all():
+            raise ValueError(f"{column[~np.isfinite(column)][0]} in CSV output")
     with open(path, "w", newline="") as fh:
-        fh.write("trial_id,arm,feedback_outcome,verification_outcome\n")
-        for s in series:
-            rows = enumerate(zip(s.feedback.tolist(), s.verification.tolist()))
-            fh.writelines(f"{i},{s.arm},{f:.17g},{v:.17g}\n" for i, (f, v) in rows)
+        fh.write(",".join(header) + "\n")
+        for block in blocks:
+            row = ",".join("{:.17g}" if _is_float(c) else "{}" for c in block) + "\n"
+            # no name holds the lists, so one block's are freed before the next's
+            cells = (c.tolist() if isinstance(c, np.ndarray) else c for c in block)
+            fh.writelines(itertools.starmap(row.format, zip(*cells)))
 
 
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    return obj
+def _is_float(column):
+    return isinstance(column, np.ndarray) and column.dtype.kind == "f"
 
 
-def _write_json(path, obj):
+def _write_json(path, document):
     """Raises ``ValueError`` on a NaN or infinity, before opening ``path``."""
-    text = json.dumps(_jsonify(obj), indent=2, sort_keys=True, allow_nan=False)
+    text = json.dumps(document, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
         fh.write(text + "\n")
+
+
+def _write_svg(path, draw):
+    path.write_text(draw())
+
+
+#: file suffix -> writer of the value that compute returns for that file
+_WRITERS = {".csv": _write_table, ".json": _write_json, ".svg": _write_svg}
 
 
 _REQUIRED = object()
@@ -250,22 +235,27 @@ def compute_store(cfg):
         "seed": cfg["seed"],
     }
     return {
-        "trials.csv": lambda path: _write_trials_csv(path, series.values()),
-        "histograms.csv": lambda path: _write_csv(
-            path,
-            ["arm", "bin_left", "bin_right", "count"],
-            _finite_rows(
-                (arm, h.bin_edges[i], h.bin_edges[i + 1], int(h.counts[i]))
-                for arm, h in sorted(hists.items())
-                for i in range(len(h.counts))
+        "trials.csv": (
+            ["trial_id", "arm", "feedback_outcome", "verification_outcome"],
+            *(
+                (range(len(s)), itertools.repeat(arm, len(s)), s.feedback,
+                 s.verification)
+                for arm, s in series.items()
             ),
         ),
-        "reconstructed.json": lambda path: _write_json(path, report),
-        "histograms.svg": lambda path: path.write_text(
-            plots.histogram_svg(
-                [hists[montecarlo.ARM_X], hists[montecarlo.ARM_P]],
-                titles=["stored X (rotated readout)", "stored P (direct readout)"],
+        "histograms.csv": (
+            ["arm", "bin_left", "bin_right", "count"],
+            *(
+                (itertools.repeat(arm, h.counts.size), h.bin_edges[:-1],
+                 h.bin_edges[1:], h.counts)
+                for arm, h in sorted(hists.items())
             ),
+        ),
+        "reconstructed.json": report,
+        "histograms.svg": functools.partial(
+            plots.histogram_svg,
+            [hists[montecarlo.ARM_X], hists[montecarlo.ARM_P]],
+            titles=["stored X (rotated readout)", "stored P (direct readout)"],
         ),
     }
 
@@ -290,23 +280,21 @@ def compute_fidelity(cfg):
     quad = QuadratureSpec(tol=cfg["quad_tol"])
     channel = ChannelSummary(*channel_keys) if configured else None
 
-    rows = []
     ideal = ChannelSummary(1.0, 1.0, 1.0, 0.5)
-    rows.append(
-        ("ideal_css_protocol", 1.0, 1.0, 1.0, 0.5,
-         average_fidelity(cset, ideal, quad))
-    )
+    channel_rows = [
+        ("ideal_css_protocol", 1.0, 1.0, 1.0, 0.5, average_fidelity(cset, ideal, quad))
+    ]
     if configured:
-        rows.append(
-            ("configured_channel", *channel_keys,
-             average_fidelity(cset, channel, quad))
+        channel_rows.append(
+            ("configured_channel", *channel_keys, average_fidelity(cset, channel, quad))
         )
     g_opt, f_max = optimize_classical_gain(cset.n_min, cset.n_max)
-    rows.append(("classical_optimum", None, None, None, None, f_max))
-    rows.append(
-        ("classical_unit_gain", None, None, None, None,
-         classical_fidelity(1.0, cset.n_min, cset.n_max))
-    )
+    classical = {
+        "classical_optimum": f_max,
+        "classical_unit_gain": classical_fidelity(1.0, cset.n_min, cset.n_max),
+    }
+    labels, *channel_columns = zip(*channel_rows)
+    fidelities = {**dict(zip(labels, channel_columns[-1])), **classical}
 
     g_report = round(g_opt, 3)
     bound_pn_g1 = 2.0 * classical_variance_bound(1.0)
@@ -318,29 +306,23 @@ def compute_fidelity(cfg):
         "set_bound_pn": bound_pn_opt,
         "set_bound_33pct_below_pn": 0.67 * bound_pn_opt,
     }
+    boundary_labels, boundary_values = zip(*sorted(boundaries.items()))
     return {
-        "fidelity.csv": lambda path: _write_csv(
-            path,
+        "fidelity.csv": (
             ["label", "gain_x", "gain_p", "var_x", "var_p", "value"],
-            _finite_rows(
-                [label] + ["" if v is None else v for v in rest]
-                for label, *rest in rows
-            ),
+            (labels, *map(np.array, channel_columns)),
+            # the classical rows leave the channel cells blank
+            (list(classical), *[("", "")] * 4, np.array(list(classical.values()))),
         ),
-        "boundaries.csv": lambda path: _write_csv(
-            path, ["label", "value"], _finite_rows(sorted(boundaries.items()))
+        "boundaries.csv": (
+            ["label", "value"], (boundary_labels, np.array(boundary_values))
         ),
-        "fidelity.json": lambda path: _write_json(
-            path,
-            {
-                "set": {"n_min": cset.n_min, "n_max": cset.n_max},
-                "fidelities": {
-                    label: value for label, *_, value in rows
-                },
-                "classical_optimum": {"gain": g_opt, "fidelity": f_max},
-                "boundaries": boundaries,
-            },
-        ),
+        "fidelity.json": {
+            "set": {"n_min": cset.n_min, "n_max": cset.n_max},
+            "fidelities": fidelities,
+            "classical_optimum": {"gain": g_opt, "fidelity": f_max},
+            "boundaries": boundaries,
+        },
     }
 
 
@@ -353,7 +335,7 @@ CALIBRATE_FIELDS = {
     "jx_points": (_count(3, MAX_JX_POINTS), 10),
     "n_cycles": (_count(2, MAX_CYCLES), 10_000),
     "seed": (_count(0, np.inf), 0),  # numpy's default_rng takes no negative seed
-    "fit_jx_max": (float, None),
+    "fit_jx_max": (_nonnegative, None),
 }
 
 
@@ -370,18 +352,18 @@ def compute_calibrate(cfg):
         )
     fit = calibration.fit_pnl(series, cfg["fit_jx_max"])
     return {
-        "calibration_points.csv": lambda path: calibration.write_points_csv(series, path),
-        "calibration_fit.json": lambda path: _write_json(
-            path,
-            {
-                "slope": fit.slope,
-                "slope_se": fit.slope_se,
-                "quadratic_coeff": fit.quadratic_coeff,
-                "chi2_per_dof": fit.chi2_per_dof,
-                "n_used": fit.n_used,
-                "jx_cut": fit.jx_cut,
-            },
+        "calibration_points.csv": (
+            calibration.COLUMNS,
+            tuple(getattr(series, name) for name in calibration.COLUMNS),
         ),
+        "calibration_fit.json": {
+            "slope": fit.slope,
+            "slope_se": fit.slope_se,
+            "quadratic_coeff": fit.quadratic_coeff,
+            "chi2_per_dof": fit.chi2_per_dof,
+            "n_used": fit.n_used,
+            "jx_cut": fit.jx_cut,
+        },
     }
 
 
@@ -440,12 +422,12 @@ def compute_microscopic(cfg):
         "spurious": couplings.spurious(),
         "leakage_loglog_slope": slope,
     }
-    outputs = {"microscopic.json": lambda path: _write_json(path, report)}
+    outputs = {"microscopic.json": report}
     if sweep_rows:
-        outputs["microscopic_sweep.csv"] = lambda path: _write_csv(
-            path,
-            list(sweep_rows[0].keys()),
-            _finite_rows(r.values() for r in sweep_rows),
+        header = list(sweep_rows[0])
+        outputs["microscopic_sweep.csv"] = (
+            header,
+            tuple(np.array([r[key] for r in sweep_rows]) for key in header),
         )
     return outputs
 
@@ -486,29 +468,24 @@ def compute_lifetime(cfg):
     _, f_class = optimize_classical_gain(cset.n_min, cset.n_max)
     crossing = decoherence.crossing_time(times, fids, f_class)
     return {
-        "lifetime.csv": lambda path: _write_csv(
-            path,
+        "lifetime.csv": (
             ["t_ms", "fidelity", "classical_limit"],
-            _finite_rows((t * 1e3, f, f_class) for t, f in zip(times, fids)),
+            (times * 1e3, fids, np.full(times.size, f_class)),
         ),
-        "lifetime.json": lambda path: _write_json(
-            path,
-            {
-                "tau_ms": decay.tau * 1e3,
-                "excess_noise_rate": decay.excess_noise_rate,
-                "classical_limit": f_class,
-                "crossing_ms": None if crossing is None else crossing * 1e3,
-                "fidelity_at_zero": fids[0],
-            },
-        ),
-        "lifetime.svg": lambda path: path.write_text(
-            plots.line_svg(
-                times * 1e3,
-                {"memory fidelity": fids},
-                x_label="storage time (ms)",
-                y_label="fidelity",
-                hlines=[("classical limit", f_class)],
-            ),
+        "lifetime.json": {
+            "tau_ms": decay.tau * 1e3,
+            "excess_noise_rate": decay.excess_noise_rate,
+            "classical_limit": f_class,
+            "crossing_ms": None if crossing is None else crossing * 1e3,
+            "fidelity_at_zero": fids[0],
+        },
+        "lifetime.svg": functools.partial(
+            plots.line_svg,
+            times * 1e3,
+            {"memory fidelity": fids},
+            x_label="storage time (ms)",
+            y_label="fidelity",
+            hlines=[("classical limit", f_class)],
         ),
     }
 
@@ -578,11 +555,12 @@ def main(argv=None):
     except ValueError as exc:  # a domain check in the library, for this config
         return _fail(2, f"error: {args.command}: {exc}")
     written = []
-    for name, write in outputs.items():
-        if Path(name).suffix[1:] in formats:
+    for name, value in outputs.items():
+        suffix = Path(name).suffix
+        if suffix[1:] in formats:
             path = args.out / name
             try:
-                write(path)
+                _WRITERS[suffix](path, value)
             except (ValueError, *_NUMERICAL) as exc:
                 for done in written:  # no partial set of outputs
                     done.unlink()

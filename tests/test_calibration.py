@@ -6,14 +6,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmemsim.calibration import (
+    COLUMNS,
     CalibrationSeries,
     coupling_squared_from_noise,
     fit_pnl,
     pnl_sensitivity,
     read_points_csv,
     synthesize_series,
-    write_points_csv,
 )
+from qmemsim.cli import _write_table
 from qmemsim.fidelity import CoherentSet, average_fidelity
 from qmemsim.gaussian import apply_symplectic, partial_trace, vacuum_state
 from qmemsim.protocol import ChannelSummary, interaction_map
@@ -239,6 +240,11 @@ class TestSensitivity:
                           var_p=channel.var_p / 1.1)
         )
         assert abs(high - nominal) < abs(var_only - nominal)
+
+
+def write_points_csv(series, path):
+    """A points file as ``qmemsim calibrate`` writes it."""
+    _write_table(path, (COLUMNS, tuple(getattr(series, name) for name in COLUMNS)))
 
 
 class TestCsvRoundTrip:

@@ -9,12 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qmemsim
 from qmemsim import cli
-from qmemsim.cli import _write_csv, _write_trials_csv, main
+from qmemsim.cli import _write_table, main
 from qmemsim.fidelity import MAX_NODES
-from qmemsim.montecarlo import ARM_P, ARM_X, TrialSeries
 
 
 def run(tmp_path, command, config=None, extra=()):
@@ -153,28 +154,6 @@ class TestStore:
         assert key in capsys.readouterr().err
         assert not any((tmp_path / "out").iterdir())
 
-    def test_trials_writer_matches_generic_csv(self, tmp_path):
-        values = np.array([-0.0, 5e-324, -5e-324, 1e308, -1e308, -2.5,
-                           -1 / 3, 0.1, np.inf, -np.inf, np.nan])
-        series = [
-            TrialSeries(ARM_P, values, -values[::-1]),
-            TrialSeries(ARM_X, values[::-1], values),
-        ]
-        _write_trials_csv(tmp_path / "columns.csv", series)
-        _write_csv(
-            tmp_path / "rows.csv",
-            ["trial_id", "arm", "feedback_outcome", "verification_outcome"],
-            (
-                (i, s.arm, f, v)
-                for s in series
-                for i, (f, v) in enumerate(zip(s.feedback, s.verification))
-            ),
-        )
-        columns = (tmp_path / "columns.csv").read_bytes()
-        assert columns == (tmp_path / "rows.csv").read_bytes()
-        assert b"\n0,p,-0,nan\n" in columns
-        assert b"\n1,x,-inf,4.9406564584124654e-324\n" in columns
-
 
 class TestFidelity:
     def test_anchor_rows(self, tmp_path):
@@ -287,6 +266,12 @@ class TestCalibrate:
             ("jx_points", "10"),
             ("n_cycles", 10_000.5),
             ("n_cycles", "10000"),
+            # once "need >= 3 points with jx <= nan", not naming the key
+            ("fit_jx_max", float("nan")),
+            ("fit_jx_max", -1),
+            # once ran the whole fit, then exited 3 on the JSON write
+            ("fit_jx_max", float("inf")),
+            ("fit_jx_max", "1e999"),
         ],
     )
     def test_bad_value_exit_two(self, tmp_path, capsys, key, value):
@@ -479,18 +464,99 @@ def test_byte_identical_rerun(tmp_path, command):
 
 def test_failed_write_removes_earlier_outputs(tmp_path, monkeypatch, capsys):
     def compute(cfg):
-        def fail(path):
-            raise ValueError("nan in CSV output")
-
         return {
-            "first.json": lambda path: cli._write_json(path, {"x": 1.0}),
-            "second.csv": fail,
+            "first.json": {"x": 1.0},
+            "second.csv": (["label", "value"], (["a", "b"], np.array([1.0, np.nan]))),
         }
 
     monkeypatch.setitem(cli._COMMANDS, "fidelity", (cli.FIDELITY_FIELDS, compute))
     assert run(tmp_path, "fidelity") == 3
-    assert "second.csv" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "second.csv" in err and "nan in CSV output" in err
     assert not any((tmp_path / "out").iterdir())
+
+
+def write_reference(path, table):
+    """The CSV format through the csv module, one row at a time."""
+    header, *blocks = table
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for block in blocks:
+            for row in zip(*block):
+                writer.writerow(
+                    f"{v:.17g}" if isinstance(v, np.floating) else v for v in row
+                )
+
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, -1 / 3]
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@st.composite
+def blocks(draw, n_columns, finite=True):
+    """A block of ``n_columns`` equal-length columns of random kinds."""
+    n = draw(st.integers(0, 20))
+    floats = st.one_of(
+        st.sampled_from(EDGE_FLOATS + ([] if finite else NON_FINITE)),
+        st.floats(allow_nan=not finite, allow_infinity=not finite),
+    )
+    kinds = {
+        "float": lambda: np.array(draw(st.lists(floats, min_size=n, max_size=n)),
+                                  dtype=float),
+        "int": lambda: np.array(draw(st.lists(st.integers(-2**63, 2**63 - 1),
+                                              min_size=n, max_size=n)),
+                                dtype=np.int64),
+        "range": lambda: range(draw(st.integers(-5, 5)), n * 1000, 1000)[:n],
+        "label": lambda: draw(st.lists(
+            st.text(st.characters(codec="ascii", categories=["L", "N"]),
+                    min_size=1, max_size=8),
+            min_size=n, max_size=n)),
+    }
+    names = draw(st.lists(st.sampled_from(sorted(kinds)), min_size=n_columns,
+                          max_size=n_columns))
+    return tuple(kinds[name]() for name in names)
+
+
+@st.composite
+def tables(draw, finite=True):
+    n_columns = draw(st.integers(1, 5))
+    header = [f"c{i}" for i in range(n_columns)]
+    return (header, *draw(st.lists(blocks(n_columns, finite), max_size=4)))
+
+
+class TestTableWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(table=tables())
+    def test_matches_csv_module(self, tmp_path_factory, table):
+        tmp = tmp_path_factory.mktemp("table")
+        _write_table(tmp / "table.csv", table)
+        write_reference(tmp / "reference.csv", table)
+        assert (tmp / "table.csv").read_bytes() == (tmp / "reference.csv").read_bytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(table=tables(finite=False), data=st.data())
+    def test_non_finite_raises_before_open(self, tmp_path_factory, table, data):
+        bad = data.draw(st.sampled_from(NON_FINITE))
+        at = data.draw(st.integers(0, len(table[0]) - 1))
+        # one more block holding the non-finite value, among the drawn ones
+        column = np.array([1.0, bad, 2.0])
+        extra = tuple(column if i == at else range(3) for i in range(len(table[0])))
+        drawn = list(table[1:])
+        drawn.insert(data.draw(st.integers(0, len(drawn))), extra)
+        path = tmp_path_factory.mktemp("table") / "table.csv"
+        with pytest.raises(ValueError, match="in CSV output"):
+            _write_table(path, (table[0], *drawn))
+        assert not path.exists()
+
+    def test_edge_values(self, tmp_path):
+        values = np.array([-0.0, 5e-324, 0.1])
+        path = tmp_path / "table.csv"
+        _write_table(path, (["i", "arm", "v"], (range(3), ["p"] * 3, values)))
+        assert path.read_bytes() == (
+            b"i,arm,v\n0,p,-0\n1,p,4.9406564584124654e-324\n"
+            b"2,p,0.10000000000000001\n"
+        )
 
 
 def test_unread_keys_are_still_checked(tmp_path, capsys):

@@ -8,8 +8,10 @@ from numpy.testing import assert_allclose
 from scipy.optimize import minimize_scalar
 
 from qmemsim import protocol
+from qmemsim.decoherence import DecayParams, apply_decay
 from qmemsim.gaussian import (
     apply_symplectic,
+    assert_physical,
     coherent_state,
     displace,
     homodyne_measure,
@@ -255,6 +257,50 @@ class TestStoreConditionalCache:
             with pytest.raises(ValueError):
                 array[0] = 1.0
         assert first.mean.tobytes() != second.mean.tobytes()
+
+
+class TestPhysicalOutputs:
+    """Storage, decay and retrieval keep every state physical."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        x=signed(-5.0, 5.0),
+        p=signed(-5.0, 5.0),
+        light_var_x=st.floats(0.05, 5.0),
+        light_excess=st.floats(1.0, 4.0),
+        coupling=signed(0.0, 3.0),
+        gain=signed(-3.0, 3.0),
+        readout_coupling=st.floats(0.05, 3.0),
+        atom_var_x=st.floats(0.05, 5.0),
+        atom_excess=st.floats(1.0, 4.0),
+        t=st.floats(0.0, 0.05),
+        tau=st.floats(1e-5, 1.0),
+        excess_noise_rate=st.floats(0.0, 2.0),
+        reverse_gain=signed(-3.0, 3.0),
+        aux_coupling=st.floats(0.05, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_outputs_pass_assert_physical(
+        self, x, p, light_var_x, light_excess, coupling, gain, readout_coupling,
+        atom_var_x, atom_excess, t, tau, excess_noise_rate, reverse_gain,
+        aux_coupling, seed,
+    ):
+        # variance products of at least 1/4: a physical input and memory
+        light_var_p = light_excess * 0.25 / light_var_x
+        light = single_mode("light", x, p, light_var_x, light_var_p)
+        params = StorageParams(
+            coupling=coupling, gain=gain, readout_coupling=readout_coupling,
+            atom_var_x=atom_var_x, atom_var_p=atom_excess * 0.25 / atom_var_x,
+        )
+        decay = DecayParams(tau, excess_noise_rate)
+        rng = np.random.default_rng(seed)
+        _, conditional = store_conditional(light, params, rng=rng)
+        for stored in (conditional, store_average(light, params)):
+            decayed = apply_decay(stored, t, decay)
+            for state in (stored, decayed, reverse_readout(
+                decayed, params, reverse_gain=reverse_gain, aux_coupling=aux_coupling
+            )):
+                assert_physical(state)
 
 
 class TestStoreChannel:
