@@ -1,14 +1,15 @@
 """Gaussian simulation of a measurement-feedback quantum memory for light.
 
-Subpackages by task:
+Modules by task:
 
 * :mod:`qmemsim.gaussian` - Gaussian states, linear symplectic maps,
   homodyne conditioning;
 * :mod:`qmemsim.protocol` - the store / verify / retrieve protocol maps;
 * :mod:`qmemsim.microscopic` - time-binned two-cell dynamics and its
   reduction to the single-mode interaction;
-* :mod:`qmemsim.fidelity` - set-averaged fidelities and classical
-  benchmarks;
+* :mod:`qmemsim.fidelity` - set-averaged fidelities
+  (:func:`~qmemsim.fidelity.average_fidelity`, whose one setting is its
+  tolerance ``tol``) and classical benchmarks;
 * :mod:`qmemsim.montecarlo` - reproducible trial series, histograms,
   moment reconstruction;
 * :mod:`qmemsim.calibration` - projection-noise calibration fits;
@@ -18,11 +19,13 @@ Subpackages by task:
 Only ``qmemsim store`` loads scipy (``scipy.special.ndtri``, imported
 inside ``rng.trial_normals``); importing the package and the other four
 subcommands need numpy alone (``tests/test_imports.py`` checks this).
+
+The reference paths that only tests use, the 2-d product quadrature and
+the per-trial replay of the Gaussian pipeline, live in the tests.
 """
 
 from .fidelity import (
     CoherentSet,
-    QuadratureSpec,
     average_fidelity,
     classical_fidelity,
     classical_variance_bound,

@@ -151,7 +151,7 @@ def coupling_squared_from_noise(out_var, in_var):
     return (out_var - in_var) / in_var
 
 
-def pnl_sensitivity(channel, cset, rescale=0.10, quad=None):
+def pnl_sensitivity(channel, cset, rescale=0.10):
     """Fidelity excursion under a misestimated projection noise level.
 
     If the true noise level is ``(1 + eps)`` times the assumed one, the
@@ -172,9 +172,9 @@ def pnl_sensitivity(channel, cset, rescale=0.10, quad=None):
         )
 
     return (
-        average_fidelity(cset, rescaled(-rescale), quad),
-        average_fidelity(cset, channel, quad),
-        average_fidelity(cset, rescaled(+rescale), quad),
+        average_fidelity(cset, rescaled(-rescale)),
+        average_fidelity(cset, channel),
+        average_fidelity(cset, rescaled(+rescale)),
     )
 
 

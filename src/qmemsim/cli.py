@@ -35,7 +35,6 @@ import numpy as np
 from . import calibration, decoherence, microscopic, montecarlo, plots
 from .fidelity import (
     CoherentSet,
-    QuadratureSpec,
     average_fidelity,
     classical_fidelity,
     classical_variance_bound,
@@ -267,7 +266,7 @@ FIDELITY_FIELDS = {
     "gain_p": (float, None),
     "var_x": (float, None),
     "var_p": (float, None),
-    "quad_tol": (_finite, 1e-10),
+    "quad_tol": (_positive, 1e-10),
 }
 
 
@@ -277,16 +276,16 @@ def compute_fidelity(cfg):
     if not configured and any(v is not None for v in channel_keys):
         raise ValueError("provide all of gain_x, gain_p, var_x, var_p or none")
     cset = CoherentSet(cfg["n_min"], cfg["n_max"])
-    quad = QuadratureSpec(tol=cfg["quad_tol"])
+    tol = cfg["quad_tol"]
     channel = ChannelSummary(*channel_keys) if configured else None
 
     ideal = ChannelSummary(1.0, 1.0, 1.0, 0.5)
     channel_rows = [
-        ("ideal_css_protocol", 1.0, 1.0, 1.0, 0.5, average_fidelity(cset, ideal, quad))
+        ("ideal_css_protocol", 1.0, 1.0, 1.0, 0.5, average_fidelity(cset, ideal, tol))
     ]
     if configured:
         channel_rows.append(
-            ("configured_channel", *channel_keys, average_fidelity(cset, channel, quad))
+            ("configured_channel", *channel_keys, average_fidelity(cset, channel, tol))
         )
     g_opt, f_max = optimize_classical_gain(cset.n_min, cset.n_max)
     classical = {
@@ -330,8 +329,8 @@ CALIBRATE_FIELDS = {
     "series_csv": (str, None),
     "slope_per_unit": (_finite, 0.5),
     "quadratic_coeff": (_finite, 0.0),
-    "jx_min": (_finite, 0.1),
-    "jx_max": (_finite, 2.0),
+    "jx_min": (_nonnegative, 0.1),
+    "jx_max": (_nonnegative, 2.0),
     "jx_points": (_count(3, MAX_JX_POINTS), 10),
     "n_cycles": (_count(2, MAX_CYCLES), 10_000),
     "seed": (_count(0, np.inf), 0),  # numpy's default_rng takes no negative seed
@@ -347,10 +346,26 @@ def compute_calibrate(cfg):
             raise ValueError(f"bad value for 'series_csv': {exc}")
     else:
         jx = np.linspace(cfg["jx_min"], cfg["jx_max"], cfg["jx_points"])
-        series = calibration.synthesize_series(
-            cfg["slope_per_unit"], cfg["quadratic_coeff"], jx, cfg["n_cycles"], cfg["seed"]
-        )
-    fit = calibration.fit_pnl(series, cfg["fit_jx_max"])
+        try:
+            series = calibration.synthesize_series(
+                cfg["slope_per_unit"], cfg["quadratic_coeff"], jx, cfg["n_cycles"],
+                cfg["seed"],
+            )
+        except ValueError as exc:  # se > 0 fails: 1 + truth <= 0 at some jx
+            raise ValueError(
+                "bad value for 'slope_per_unit' or 'quadratic_coeff': the noise "
+                f"variance ratio 1 + slope jx + quadratic jx^2 is not positive ({exc})"
+            )
+    try:
+        fit = calibration.fit_pnl(series, cfg["fit_jx_max"])
+    except ValueError as exc:  # too few points, or only jx = 0, under the cut
+        if cfg["fit_jx_max"] is not None:
+            keys = "'fit_jx_max'"
+        elif cfg["series_csv"] is not None:
+            keys = "'series_csv'"
+        else:  # the cut is the median of the synthesised jx
+            keys = "'jx_points', 'jx_min' or 'jx_max'"
+        raise ValueError(f"bad value for {keys}: {exc}")
     return {
         "calibration_points.csv": (
             calibration.COLUMNS,

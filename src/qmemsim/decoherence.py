@@ -76,7 +76,7 @@ def decay_channel(channel, t, params):
     )
 
 
-def fidelity_vs_time(cset, storage_params, decay, times, quad=None):
+def fidelity_vs_time(cset, storage_params, decay, times):
     """Set-averaged fidelity at each storage time (same order as input).
 
     The curve is monotone non-increasing whenever the relaxation fixed
@@ -90,14 +90,11 @@ def fidelity_vs_time(cset, storage_params, decay, times, quad=None):
         raise ValueError("times must be sorted and nonnegative")
     base = store_channel(storage_params)
     return np.array(
-        [
-            average_fidelity(cset, decay_channel(base, t, decay), quad)
-            for t in times
-        ]
+        [average_fidelity(cset, decay_channel(base, t, decay)) for t in times]
     )
 
 
-def calibrate_tau(cset, storage_params, crossing, excess_noise_rate=0.0, quad=None):
+def calibrate_tau(cset, storage_params, crossing, excess_noise_rate=0.0):
     """Coherence time for which the fidelity meets the classical optimum.
 
     Root-finds ``tau`` such that the decayed channel's fidelity at
@@ -114,7 +111,7 @@ def calibrate_tau(cset, storage_params, crossing, excess_noise_rate=0.0, quad=No
 
     def gap(tau):
         params = DecayParams(tau, excess_noise_rate)
-        return average_fidelity(cset, decay_channel(base, crossing, params), quad) - f_class
+        return average_fidelity(cset, decay_channel(base, crossing, params)) - f_class
 
     lo, hi = TAU_BRACKET
     if gap(hi) <= 0:

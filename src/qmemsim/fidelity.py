@@ -19,18 +19,19 @@ from numpy.polynomial.legendre import leggauss
 from ._solvers import i0e, minimize_bounded
 
 __all__ = [
+    "START_NODES",
     "MAX_NODES",
     "CoherentSet",
-    "QuadratureSpec",
     "overlap",
     "average_fidelity",
-    "average_fidelity_grid",
     "classical_fidelity",
     "optimize_classical_gain",
     "classical_variance_bound",
 ]
 
-#: nodes per axis at which doubling stops; ``leggauss(n)`` solves an n x n
+#: radial nodes of the first estimate of :func:`average_fidelity`
+START_NODES = 32
+#: radial nodes at which doubling stops; ``leggauss(n)`` solves an n x n
 #: eigenproblem, so this bounds the time and memory of a quadrature that
 #: does not converge (4096 nodes: about 5 s and 300 MiB)
 MAX_NODES = 4096
@@ -46,27 +47,6 @@ class CoherentSet:
     def __post_init__(self):
         if not (np.isfinite(self.n_max) and self.n_max > self.n_min >= 0):
             raise ValueError("need finite n_max > n_min >= 0")
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Node budget and tolerance for the fidelity integrals.
-
-    Node counts are starting values; they are doubled until two successive
-    estimates agree within ``tol``, never beyond :data:`MAX_NODES` per axis.
-    """
-
-    radial_nodes: int = 32
-    angular_nodes: int = 32
-    tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.radial_nodes < 2 or self.angular_nodes < 2:
-            raise ValueError("need at least two nodes per axis")
-        if max(self.radial_nodes, self.angular_nodes) > MAX_NODES:
-            raise ValueError(f"at most {MAX_NODES} nodes per axis")
-        if not self.tol > 0:  # also rejects NaN, which never converges
-            raise ValueError("tolerance must be positive")
 
 
 def overlap(x1, p1, x2, p2, var_x, var_p):
@@ -130,62 +110,29 @@ def _radial_estimate(cset, u, v, prefactor, nodes):
     return prefactor * np.dot(w, values) / (s2 - s1)
 
 
-def _refine(estimate, nodes, quad, what):
-    """``estimate(*nodes)``, doubling every node count until it converges.
-
-    Stops when two successive estimates agree within ``quad.tol``; raises
-    ``RuntimeError`` before a count would pass :data:`MAX_NODES`.
-    """
-    previous = estimate(*nodes)
-    while 2 * max(nodes) <= MAX_NODES:
-        nodes = tuple(2 * n for n in nodes)
-        current = estimate(*nodes)
-        if abs(current - previous) < quad.tol:
-            return current
-        previous = current
-    counts = " x ".join(map(str, nodes))
-    raise RuntimeError(f"{what} did not converge below {quad.tol} by {counts} nodes")
-
-
-def average_fidelity(cset, channel, quad=None):
+def average_fidelity(cset, channel, tol=1e-10):
     """Set-averaged fidelity of a Gaussian channel summary.
 
     Integrates the overlap over the coherent set with the angular
-    integral reduced exactly and the radial integral refined by node
-    doubling until it changes by less than ``quad.tol``.
+    integral reduced exactly and the radial integral refined by doubling
+    its nodes from :data:`START_NODES` until two successive estimates
+    agree within ``tol``; raises ``RuntimeError`` before the count would
+    pass :data:`MAX_NODES`.
     """
-    quad = quad or QuadratureSpec()
+    if not tol > 0:  # also rejects NaN, which never converges
+        raise ValueError("tolerance must be positive")
     u, v, pref = _channel_exponents(channel)
-    return _refine(
-        lambda nodes: _radial_estimate(cset, u, v, pref, nodes),
-        (quad.radial_nodes,),
-        quad,
-        "radial quadrature",
+    nodes = START_NODES
+    previous = _radial_estimate(cset, u, v, pref, nodes)
+    while 2 * nodes <= MAX_NODES:
+        nodes *= 2
+        current = _radial_estimate(cset, u, v, pref, nodes)
+        if abs(current - previous) < tol:
+            return current
+        previous = current
+    raise RuntimeError(
+        f"radial quadrature did not converge below {tol} by {nodes} nodes"
     )
-
-
-def average_fidelity_grid(cset, channel, quad=None):
-    """Full 2-d product-quadrature fidelity (independent of the reduction).
-
-    Radial Gauss-Legendre times a uniform (periodic-trapezoid) angular
-    grid, both refined by doubling.  Slower than
-    :func:`average_fidelity`; used to cross-check it.
-    """
-    quad = quad or QuadratureSpec()
-    u, v, pref = _channel_exponents(channel)
-    s1, s2 = 2.0 * cset.n_min, 2.0 * cset.n_max
-
-    def estimate(n_rad, n_ang):
-        xg, wg = _gauss_legendre(n_rad)
-        s = 0.5 * (s2 - s1) * xg + 0.5 * (s2 + s1)
-        w = 0.5 * (s2 - s1) * wg
-        phi = np.linspace(0.0, 2.0 * np.pi, n_ang, endpoint=False)
-        cos2, sin2 = np.cos(phi) ** 2, np.sin(phi) ** 2
-        grid = np.exp(-np.outer(s, u * cos2 + v * sin2))
-        return pref * np.dot(w, grid.mean(axis=1)) / (s2 - s1)
-
-    nodes = (quad.radial_nodes, quad.angular_nodes)
-    return _refine(estimate, nodes, quad, "2-d quadrature")
 
 
 def classical_fidelity(gain, n_min, n_max):

@@ -45,16 +45,6 @@ __all__ = [
 
 # indices into the 8 x 8 demodulated coupling matrix
 COS_X, COS_P, SIN_X, SIN_P, ATOM_X, ATOM_P, ATOM_X2, ATOM_P2 = range(8)
-MODE_NAMES = (
-    "cos_x",
-    "cos_p",
-    "sin_x",
-    "sin_p",
-    "atom_x",
-    "atom_p",
-    "atom_x2",
-    "atom_p2",
-)
 
 _DENSE_LIMIT = 1200  # bins; dense matrices beyond this are refused
 
@@ -63,31 +53,30 @@ _DENSE_LIMIT = 1200  # bins; dense matrices beyond this are refused
 class PhysicalParams:
     """Microscopic knobs of the light-atoms propagation.
 
-    ``photon_flux`` is either a constant rate (photons/s) or a callable
-    of time; ``coupling_per_atom`` absorbs the atomic-physics prefactor
-    so that ``coupling_per_atom**2 * collective_spin * (photon number)``
-    is dimensionless.
+    ``photon_flux`` is a constant rate (photons/s); ``coupling_per_atom``
+    absorbs the atomic-physics prefactor so that
+    ``coupling_per_atom**2 * collective_spin * (photon number)`` is
+    dimensionless.
     """
 
     coupling_per_atom: float
     collective_spin: float = 1.2e12
-    photon_flux: object = 1e15
+    photon_flux: float = 1e15
     larmor_frequency: float = 2 * np.pi * 322e3
     pulse_duration: float = 1e-3
     bins: int = 10_000
 
     def __post_init__(self):
-        numbers = ["coupling_per_atom", "collective_spin", "larmor_frequency",
-                   "pulse_duration"]
-        if not callable(self.photon_flux):
-            numbers.append("photon_flux")
-        for name in numbers:
-            if not np.all(np.isfinite(getattr(self, name))):
+        for name in ("coupling_per_atom", "collective_spin", "photon_flux",
+                     "larmor_frequency", "pulse_duration"):
+            if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.pulse_duration <= 0:
-            raise ValueError("pulse duration must be positive")
+            raise ValueError("pulse_duration must be positive")
         if self.collective_spin < 0:
-            raise ValueError("collective spin must be nonnegative")
+            raise ValueError("collective_spin must be nonnegative")
+        if self.photon_flux < 0:
+            raise ValueError("photon_flux must be nonnegative")
         if self.bins < 10:
             raise ValueError("need at least 10 bins")
         phase_per_bin = self.larmor_frequency * self.pulse_duration / (
@@ -95,20 +84,9 @@ class PhysicalParams:
         )
         if phase_per_bin >= 0.1:
             raise ValueError(
-                f"bins too coarse: {phase_per_bin:.3f} cycles per bin "
-                "(need < 0.1)"
+                "bins too coarse: larmor_frequency * pulse_duration / (2 pi "
+                f"bins) = {phase_per_bin:.3f} cycles per bin (need < 0.1)"
             )
-
-    def flux_at(self, t):
-        rate = self.photon_flux(t) if callable(self.photon_flux) else self.photon_flux
-        rate = np.asarray(rate, dtype=float)
-        if np.any(rate < 0):
-            raise ValueError("photon flux must be nonnegative")
-        return rate
-
-    @property
-    def omega_t(self):
-        return self.larmor_frequency * self.pulse_duration
 
 
 @dataclass(frozen=True)
@@ -116,12 +94,7 @@ class BinnedLightField:
     """Discretized light mode: bin midpoints and coupling amplitudes."""
 
     times: np.ndarray
-    width: float
-    amplitudes: np.ndarray  # sqrt(n(t_i) dt), one per bin
-
-    @property
-    def bins(self):
-        return self.times.size
+    amplitudes: np.ndarray  # sqrt(flux * dt), one per bin
 
     def demodulation_weights(self, larmor_frequency):
         """Unit-norm cosine and sine temporal-mode weights."""
@@ -133,9 +106,8 @@ class BinnedLightField:
 def bin_light_field(params):
     dt = params.pulse_duration / params.bins
     times = (np.arange(params.bins) + 0.5) * dt
-    amplitudes = np.sqrt(params.flux_at(times) * dt)
-    return BinnedLightField(times=times, width=dt, amplitudes=np.broadcast_to(
-        amplitudes, times.shape).astype(float))
+    amplitudes = np.full(times.shape, np.sqrt(params.photon_flux * dt))
+    return BinnedLightField(times=times, amplitudes=amplitudes)
 
 
 class BinnedPropagation:
@@ -209,14 +181,13 @@ class ModeCouplings:
     """Demodulated couplings between temporal light modes and atom pairs.
 
     ``matrix[a, b]`` is the coefficient of input direction ``b`` in
-    output direction ``a``, with directions ordered as
-    ``MODE_NAMES``.  The write/read couplings should match the
-    theoretical coupling; every entry listed by :meth:`spurious` should
-    vanish as 1/(Omega T).
+    output direction ``a``, with directions indexed by ``COS_X`` ...
+    ``ATOM_P2``.  The write/read couplings should match the theoretical
+    coupling; every entry listed by :meth:`spurious` should vanish as
+    1/(Omega T).
     """
 
     matrix: np.ndarray
-    labels: tuple = MODE_NAMES
 
     @property
     def coupling_write(self):
@@ -267,20 +238,16 @@ class ModeCouplings:
         return max(self.spurious().values())
 
 
-def demodulate(propagation, weights=None):
+def demodulate(propagation):
     """Project the binned map onto the demodulation modes.
 
-    ``weights`` optionally overrides the (cosine, sine) weight vectors;
-    by default they are the unit-norm sampled cos/sin of the precession
+    The mode weights are the unit-norm sampled cos/sin of the precession
     phase, i.e. the lock-in reference.
     """
     n = propagation.bins
-    if weights is None:
-        w_cos, w_sin = propagation.light.demodulation_weights(
-            propagation.params.larmor_frequency
-        )
-    else:
-        w_cos, w_sin = (np.asarray(w) / np.linalg.norm(w) for w in weights)
+    w_cos, w_sin = propagation.light.demodulation_weights(
+        propagation.params.larmor_frequency
+    )
 
     directions = np.zeros((propagation.n_vars, 8))
     x_rows = slice(0, 2 * n, 2)
@@ -315,7 +282,7 @@ def tuned_params(target_coupling=1.0, **overrides):
     probe = PhysicalParams(coupling_per_atom=1.0, **overrides)
     k_unit = theoretical_coupling(probe)
     if k_unit == 0:
-        raise ValueError("cannot tune with zero spin or zero flux")
+        raise ValueError("cannot tune with zero collective_spin or photon_flux")
     return replace(probe, coupling_per_atom=target_coupling / k_unit)
 
 

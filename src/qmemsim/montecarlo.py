@@ -12,8 +12,7 @@ Each arm's series is two columns (:class:`TrialSeries`), bit-identical
 for a given seed under any chunking, since trial randomness is
 counter-based (see :mod:`qmemsim.rng`).  The sampler exploits that the
 conditional means are affine in earlier outcomes; the coefficients are
-extracted once per series from the exact conditional-Gaussian pipeline,
-and a literal per-trial replay of it is kept as `_run_series_reference`.
+extracted once per series from the exact conditional-Gaussian pipeline.
 """
 
 from __future__ import annotations
@@ -23,17 +22,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .gaussian import apply_symplectic, coherent_state, homodyne_measure, tensor
+from .gaussian import coherent_state
 from .protocol import (
     VERIFY,
-    initial_atoms,
-    interaction_map,
     pi_half_pulse,
     readout_map,
     reconstruct_atomic_variance,
     store_conditional,
+    store_update,
 )
-from .rng import BlockRandomSource, stream_key, trial_normals
+from .rng import stream_key, trial_normals
 
 __all__ = [
     "ARM_P",
@@ -105,14 +103,13 @@ def _series_coefficients(input_mean, params, arm):
     Returns ``(mean1, sd1, offset2, slope2, sd2)``: the transmitted-light
     X marginal is N(mean1, sd1^2); given feedback outcome t, the
     verification X marginal is N(offset2 + slope2 * t, sd2^2).  The
+    first marginal is the measured one of the cached storage update; the
     conditional-Gaussian update is linear in the outcome, so probing the
-    pipeline at t = 0 and t = 1 determines it exactly.
+    pipeline at t = 0 and t = 1 determines the second exactly.
     """
     light = coherent_state(*input_mean, mode="light")
-    joint = tensor(light, initial_atoms(params))
-    joint = apply_symplectic(joint, interaction_map(params.coupling))
-    mean1 = joint.quad_mean("light", "x")
-    sd1 = np.sqrt(joint.quad_var("light", "x"))
+    update = store_update(light, params)
+    mean1, sd1 = update.mu_q, np.sqrt(update.var_q)
 
     probes = []
     sd2 = None
@@ -153,29 +150,6 @@ def run_series(input_mean, params, arm, n_trials, seed, chunk_size=1 << 16):
             feedback[rows], verification[rows],
         )
     return TrialSeries(arm, feedback, verification)
-
-
-def _run_series_reference(input_mean, params, arm, n_trials, seed):
-    """Per-trial replay through the full Gaussian pipeline (slow path).
-
-    Consumes the same counter-based normals as :func:`run_series`; used
-    to verify that the affine sampler reproduces the literal sequence of
-    operations.
-    """
-    key = stream_key(seed, _ARM_TAGS[arm])
-    z = trial_normals(key, 0, n_trials, width=2)
-    light = coherent_state(*input_mean, mode="light")
-    series = TrialSeries(arm, np.empty(n_trials), np.empty(n_trials))
-    for i in range(n_trials):
-        rng = BlockRandomSource(z[i])
-        series.feedback[i], atoms = store_conditional(light, params, rng=rng)
-        if arm == ARM_X:
-            atoms = pi_half_pulse(atoms)
-        verified = readout_map(atoms, params.readout_coupling)
-        series.verification[i], _ = homodyne_measure(
-            verified, VERIFY, "x", rng=rng
-        )
-    return series
 
 
 def _outcomes(series, arm):

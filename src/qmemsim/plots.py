@@ -111,11 +111,12 @@ def line_svg(x, curves, x_label="", y_label="", hlines=()):
     y_min, y_max = float(y_all.min()), float(y_all.max())
     pad = 0.05 * (y_max - y_min or 1.0)
     y_min, y_max = y_min - pad, y_max + pad
+    x_span = x[-1] - x[0] or 1.0  # one time point: drawn at the left edge
     x0, x1 = _MARGIN, _WIDTH - 20
     y_top, y_bot = 30, _HEIGHT - _MARGIN
 
     def to_x(v):
-        return x0 + (v - x[0]) / (x[-1] - x[0]) * (x1 - x0)
+        return x0 + (v - x[0]) / x_span * (x1 - x0)
 
     def to_y(v):
         return y_bot - (v - y_min) / (y_max - y_min) * (y_bot - y_top)

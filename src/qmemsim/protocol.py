@@ -43,6 +43,7 @@ __all__ = [
     "ChannelSummary",
     "interaction_map",
     "initial_atoms",
+    "store_update",
     "store_conditional",
     "store_average",
     "store_channel",
@@ -88,7 +89,7 @@ class StorageParams:
                 raise ValueError(f"{name} must be finite and positive")
         if self.atom_var_x * self.atom_var_p < 0.25 - 1e-9:
             raise ValueError(
-                "initial atomic variances violate the uncertainty relation"
+                "atom_var_x * atom_var_p < 1/4 violates the uncertainty relation"
             )
 
 
@@ -168,6 +169,23 @@ def _store_conditioning(light_name, light_mean, light_cov, knobs):
     return homodyne_update(joint, light_name, "x")
 
 
+def store_update(input_light, params):
+    """Cached outcome-independent half of storing ``input_light``.
+
+    The :class:`~qmemsim.gaussian.HomodyneUpdate` of measuring the
+    transmitted light X after the interaction: its ``mu_q`` and ``var_q``
+    are the marginal of the feedback outcome.
+    """
+    if input_light.n_modes != 1:
+        raise ValueError("input light must be a single mode")
+    return _store_conditioning(
+        input_light.mode_names[0],
+        input_light.mean.tobytes(),
+        input_light.cov.tobytes(),
+        struct.pack("3d", params.coupling, params.atom_var_x, params.atom_var_p),
+    )
+
+
 def store_conditional(input_light, params, rng=None, fixed_outcome=None):
     """One conditional storage run: interact, measure, feed back.
 
@@ -177,14 +195,7 @@ def store_conditional(input_light, params, rng=None, fixed_outcome=None):
     covariance does not depend on the outcome, so it is computed once per
     distinct input and shared, read-only, by the states returned.
     """
-    if input_light.n_modes != 1:
-        raise ValueError("input light must be a single mode")
-    update = _store_conditioning(
-        input_light.mode_names[0],
-        input_light.mean.tobytes(),
-        input_light.cov.tobytes(),
-        struct.pack("3d", params.coupling, params.atom_var_x, params.atom_var_p),
-    )
+    update = store_update(input_light, params)
     outcome, mean = update.condition(rng, fixed_outcome)
     # feedback displaces the atomic P by -gain * outcome; adding 0.0 to X
     # turns a -0.0 into +0.0 exactly as displace(state, mode, 0.0, dp) does

@@ -53,21 +53,3 @@ def trial_normals(key, start_trial, n_trials, width=2):
     u = u.reshape(n_trials, DRAWS_PER_TRIAL)[:, :width]
     return ndtri(u + _HALF_ULP)
 
-
-class BlockRandomSource:
-    """Drop-in ``rng`` facade replaying one trial's normals in order.
-
-    Lets the per-state-vector reference path consume exactly the same
-    randomness as the vectorized sampler, for equivalence tests.
-    """
-
-    def __init__(self, normals):
-        self._normals = np.atleast_1d(np.asarray(normals, dtype=float))
-        self._next = 0
-
-    def standard_normal(self):
-        if self._next >= self._normals.size:
-            raise RuntimeError("trial consumed more normals than budgeted")
-        z = self._normals[self._next]
-        self._next += 1
-        return z

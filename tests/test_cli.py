@@ -3,8 +3,10 @@
 import csv
 import hashlib
 import json
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -582,16 +584,19 @@ FUZZ_BASE = {
 }
 
 
+NON_FINITE_TEXT = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)
+
+
 def _reject_constant(token):
     raise ValueError(f"{token} in JSON output")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
 def test_config_contract_fuzz(tmp_path, capsys):
     """Every key of every subcommand's field table, over awkward values.
 
-    Each run exits 0, 2 or 3 with no exception escaping; exit 2 writes
-    nothing, and exit 0 writes no NaN or Infinity into any JSON file.
+    Each run exits 0, 2 or 3 with no exception escaping.  Exit 2 writes
+    nothing and names the key under test; exit 0 writes no NaN or
+    Infinity into any JSON or SVG file and leaks no warning.
     """
     assert set(FUZZ_BASE) == set(cli._COMMANDS)
     cases = [
@@ -605,18 +610,27 @@ def test_config_contract_fuzz(tmp_path, capsys):
         case = tmp_path / str(n)
         case.mkdir()
         try:
-            code = run(case, command, {**FUZZ_BASE[command], key: value})
+            # recorded, not ignored: overflow may warn on the way to exit 3
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = run(case, command, {**FUZZ_BASE[command], key: value})
         except Exception as exc:  # noqa: BLE001 - every escape is a finding
             broken.append((command, key, value, repr(exc)))
             continue
+        err = capsys.readouterr().err
         written = list((case / "out").iterdir())
         if code not in (0, 2, 3) or (code == 2 and written):
             broken.append((command, key, value, f"exit {code}", written))
+        if code == 2 and key not in err:
+            broken.append((command, key, value, "key not named", err))
+        if code == 0 and caught:
+            broken.append((command, key, value, [str(w.message) for w in caught]))
         for path in written if code == 0 else ():
             if path.suffix == ".json":
                 try:
                     json.loads(path.read_text(), parse_constant=_reject_constant)
                 except ValueError as exc:
                     broken.append((command, key, value, path.name, str(exc)))
-    capsys.readouterr()
+            if path.suffix == ".svg" and NON_FINITE_TEXT.search(path.read_text()):
+                broken.append((command, key, value, path.name, "not finite"))
     assert not broken

@@ -1,8 +1,9 @@
 """Fidelity tests: overlap formula, set averages, classical benchmarks.
 
 Independent oracles used here: a Wigner-function grid integral for the
-two-state overlap, a brute-force 2-d quadrature for the set averages,
-and a golden-section search for the gain optimum.
+two-state overlap, a brute-force 2-d quadrature for the set averages
+(``average_fidelity_grid``), and a golden-section search for the gain
+optimum.
 """
 
 import numpy as np
@@ -12,11 +13,8 @@ from numpy.testing import assert_allclose
 
 from qmemsim import fidelity
 from qmemsim.fidelity import (
-    MAX_NODES,
     CoherentSet,
-    QuadratureSpec,
     average_fidelity,
-    average_fidelity_grid,
     classical_fidelity,
     classical_variance_bound,
     optimize_classical_gain,
@@ -40,6 +38,36 @@ def wigner_overlap_oracle(x1, p1, x2, p2, var_x, var_p, half_width=10.0, n=801):
     w1 = wigner(x1, p1, 0.5, 0.5)
     w2 = wigner(x2, p2, var_x, var_p)
     return 2 * np.pi * np.sum(w1 * w2) * dx * dx
+
+
+def average_fidelity_grid(cset, channel, tol=1e-10):
+    """Full 2-d product-quadrature fidelity (independent of the reduction).
+
+    Radial Gauss-Legendre times a uniform (periodic-trapezoid) angular
+    grid, both doubled from 32 nodes until two successive estimates
+    agree within ``tol``.
+    """
+    u, v, pref = fidelity._channel_exponents(channel)
+    s1, s2 = 2.0 * cset.n_min, 2.0 * cset.n_max
+
+    def estimate(n):
+        xg, wg = leggauss(n)
+        s = 0.5 * (s2 - s1) * xg + 0.5 * (s2 + s1)
+        w = 0.5 * (s2 - s1) * wg
+        phi = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+        cos2, sin2 = np.cos(phi) ** 2, np.sin(phi) ** 2
+        grid = np.exp(-np.outer(s, u * cos2 + v * sin2))
+        return pref * np.dot(w, grid.mean(axis=1)) / (s2 - s1)
+
+    n = 32
+    previous = estimate(n)
+    while n < 1024:
+        n *= 2
+        current = estimate(n)
+        if abs(current - previous) < tol:
+            return current
+        previous = current
+    raise AssertionError(f"2-d quadrature did not converge below {tol} by {n} nodes")
 
 
 def classical_overlap_printed(gain, alpha_sq):
@@ -158,29 +186,24 @@ class TestAverageFidelity:
         assert a == pytest.approx(b, abs=1e-8)
 
     def test_nonconvergence_raises_with_node_counts(self, monkeypatch):
-        quad = QuadratureSpec(radial_nodes=2, tol=1e-30)
+        monkeypatch.setattr(fidelity, "START_NODES", 2)
         monkeypatch.setattr(fidelity, "MAX_NODES", 8)  # stops it after 2 doublings
-        with pytest.raises(RuntimeError, match="by 8 nodes"):
+        with pytest.raises(RuntimeError, match="below 1e-30 by 8 nodes"):
             average_fidelity(
-                CoherentSet(0, 8), ChannelSummary(0.9, 0.9, 0.8, 0.6), quad
+                CoherentSet(0, 8), ChannelSummary(0.9, 0.9, 0.8, 0.6), tol=1e-30
             )
 
     def test_doubling_stops_at_node_cap(self, monkeypatch):
-        # the cap binds on the radial axis, and on the angular axis for
-        # the grid
         monkeypatch.setattr(fidelity, "MAX_NODES", 64)
         cset, channel = CoherentSet(0, 1000), ChannelSummary(0.9, 0.9, 0.8, 0.6)
-        quad = QuadratureSpec(radial_nodes=2, angular_nodes=16, tol=1e-300)
         with pytest.raises(RuntimeError, match="by 64 nodes"):
-            average_fidelity(cset, channel, quad)
-        with pytest.raises(RuntimeError, match="by 8 x 64 nodes"):
-            average_fidelity_grid(cset, channel, quad)
+            average_fidelity(cset, channel, tol=1e-300)
 
-    def test_starting_nodes_above_cap_rejected(self):
-        with pytest.raises(ValueError, match="at most"):
-            QuadratureSpec(radial_nodes=MAX_NODES + 1)
-        with pytest.raises(ValueError, match="at most"):
-            QuadratureSpec(angular_nodes=2 * MAX_NODES)
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    def test_nonpositive_tolerance_rejected(self, tol):
+        # a NaN tolerance would double the nodes to the cap, never converging
+        with pytest.raises(ValueError, match="tolerance"):
+            average_fidelity(CoherentSet(0, 8), IDEAL_CSS, tol=tol)
 
 
 class TestClassicalFidelity:

@@ -6,23 +6,82 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from qmemsim.gaussian import coherent_state, homodyne_measure
 from qmemsim.montecarlo import (
+    _ARM_TAGS,
     ARM_P,
     ARM_X,
     TrialSeries,
-    _run_series_reference,
     estimate_channel,
     ideal_reference,
     make_histogram,
     run_series,
 )
-from qmemsim.protocol import StorageParams, store_channel
+from qmemsim.protocol import (
+    VERIFY,
+    StorageParams,
+    pi_half_pulse,
+    readout_map,
+    store_channel,
+    store_conditional,
+)
+from qmemsim.rng import stream_key, trial_normals
 
 
 def series(arm, verification):
     """A series with the given verification column and zero feedback."""
     verification = np.asarray(verification, dtype=float)
     return TrialSeries(arm, np.zeros_like(verification), verification)
+
+
+class BlockRandomSource:
+    """Drop-in ``rng`` facade replaying one trial's normals in order."""
+
+    def __init__(self, normals):
+        self._normals = np.atleast_1d(np.asarray(normals, dtype=float))
+        self._next = 0
+
+    def standard_normal(self):
+        if self._next >= self._normals.size:
+            raise RuntimeError("trial consumed more normals than budgeted")
+        z = self._normals[self._next]
+        self._next += 1
+        return z
+
+
+def run_series_reference(input_mean, params, arm, n_trials, seed):
+    """Per-trial replay through the full Gaussian pipeline (slow path).
+
+    Consumes the same counter-based normals as :func:`run_series`, so the
+    affine sampler must reproduce the literal sequence of operations.
+    """
+    key = stream_key(seed, _ARM_TAGS[arm])
+    z = trial_normals(key, 0, n_trials, width=2)
+    light = coherent_state(*input_mean, mode="light")
+    series = TrialSeries(arm, np.empty(n_trials), np.empty(n_trials))
+    for i in range(n_trials):
+        rng = BlockRandomSource(z[i])
+        series.feedback[i], atoms = store_conditional(light, params, rng=rng)
+        if arm == ARM_X:
+            atoms = pi_half_pulse(atoms)
+        verified = readout_map(atoms, params.readout_coupling)
+        series.verification[i], _ = homodyne_measure(
+            verified, VERIFY, "x", rng=rng
+        )
+    return series
+
+
+class TestBlockRandomSource:
+    def test_replays_in_order(self):
+        src = BlockRandomSource([1.5, -2.5])
+        assert src.standard_normal() == 1.5
+        assert src.standard_normal() == -2.5
+
+    def test_exhaustion_raises(self):
+        src = BlockRandomSource([0.0])
+        src.standard_normal()
+        with pytest.raises(RuntimeError, match="budget"):
+            src.standard_normal()
 
 
 class TestRunSeries:
@@ -49,7 +108,7 @@ class TestRunSeries:
     def test_single_trial_reproduces_conditional_pipeline(self):
         params = StorageParams(coupling=0.9, gain=0.8)
         fast = run_series((1.5, -0.5), params, ARM_X, 1, seed=11)
-        slow = _run_series_reference((1.5, -0.5), params, ARM_X, 1, seed=11)
+        slow = run_series_reference((1.5, -0.5), params, ARM_X, 1, seed=11)
         assert fast.arm == slow.arm == ARM_X
         assert fast.feedback[0] == pytest.approx(slow.feedback[0], abs=1e-12)
         assert fast.verification[0] == pytest.approx(
@@ -59,7 +118,7 @@ class TestRunSeries:
     def test_matches_reference_path_on_batch(self):
         params = StorageParams(coupling=1.2, gain=0.7, readout_coupling=0.8)
         fast = run_series((0.5, 1.0), params, ARM_P, 300, seed=21)
-        slow = _run_series_reference((0.5, 1.0), params, ARM_P, 300, seed=21)
+        slow = run_series_reference((0.5, 1.0), params, ARM_P, 300, seed=21)
         assert len(fast) == len(slow) == 300
         np.testing.assert_allclose(fast.feedback, slow.feedback, rtol=0, atol=1e-12)
         np.testing.assert_allclose(

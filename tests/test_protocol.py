@@ -36,6 +36,7 @@ from qmemsim.protocol import (
     store_average,
     store_channel,
     store_conditional,
+    store_update,
 )
 
 
@@ -189,7 +190,15 @@ class TestStoreConditionalCache:
             coupling=coupling, gain=gain, atom_var_x=atom_var_x,
             atom_var_p=excess * 0.25 / atom_var_x,
         )
+        joint = apply_symplectic(
+            tensor(light, initial_atoms(params)), interaction_map(coupling)
+        )
+        marginal = np.array(
+            [joint.quad_mean("light", "x"), joint.quad_var("light", "x")]
+        )
         for _ in range(2):  # a miss, then a hit
+            update = store_update(light, params)
+            assert np.array([update.mu_q, update.var_q]).tobytes() == marginal.tobytes()
             assert_same_bytes(
                 store_conditional(light, params, rng=np.random.default_rng(seed)),
                 reference_store(light, params, rng=np.random.default_rng(seed)),

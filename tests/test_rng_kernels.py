@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qmemsim import kernels
-from qmemsim.rng import BlockRandomSource, stream_key, trial_normals
+from qmemsim.rng import stream_key, trial_normals
 
 
 def loop_bin_sweep(kappa_cos, kappa_sin, vectors):
@@ -63,19 +63,6 @@ class TestTrialNormals:
 
     def test_empty_range(self):
         assert trial_normals(stream_key(1), 0, 0).shape == (0, 2)
-
-
-class TestBlockRandomSource:
-    def test_replays_in_order(self):
-        src = BlockRandomSource([1.5, -2.5])
-        assert src.standard_normal() == 1.5
-        assert src.standard_normal() == -2.5
-
-    def test_exhaustion_raises(self):
-        src = BlockRandomSource([0.0])
-        src.standard_normal()
-        with pytest.raises(RuntimeError, match="budget"):
-            src.standard_normal()
 
 
 class TestKernelBackends:
