@@ -16,9 +16,10 @@ Modules by task:
 * :mod:`qmemsim.decoherence` - storage-time decay and lifetime curves;
 * :mod:`qmemsim.cli` - batch front end (``qmemsim --help``).
 
-Only ``qmemsim store`` loads scipy (``scipy.special.ndtri``, imported
-inside ``rng.trial_normals``); importing the package and the other four
-subcommands need numpy alone (``tests/test_imports.py`` checks this).
+The package needs numpy alone: importing it and all five subcommands
+load no scipy module (``tests/test_imports.py`` checks this).  The scipy
+routines it once called are ported bit for bit in
+:mod:`qmemsim._solvers`, and scipy is a test-only oracle for them.
 
 The reference paths that only tests use, the 2-d product quadrature and
 the per-trial replay of the Gaussian pipeline, live in the tests.

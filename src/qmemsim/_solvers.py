@@ -1,9 +1,12 @@
-"""numpy-only ports of the three scipy routines the figures of merit use.
+"""numpy-only ports of the four scipy routines the package uses.
 
 Each function does every floating-point operation in the order of the
 scipy 1.17 routine it replaces, so results agree with scipy bit for bit
 (``tests/test_solvers.py`` checks this against scipy itself):
 
+* :func:`ndtri` - ``scipy.special.ndtri``, Cephes' inverse of the
+  standard normal CDF (S. L. Moshier, ``ndtri.c``, 1989), three rational
+  approximations; the Monte Carlo sampler's normals;
 * :func:`i0e` - ``scipy.special.i0e``, Cephes' exponentially scaled
   modified Bessel function of order zero (S. L. Moshier), as a Chebyshev
   series on two ranges;
@@ -14,11 +17,15 @@ scipy 1.17 routine it replaces, so results agree with scipy bit for bit
 * :func:`brentq` - ``scipy.optimize.brentq`` (scipy's ``brentq.c``),
   Brent's bracketing root finder, ibid. ch. 4.
 
-Keeping them here spares ``qmemsim fidelity`` and ``qmemsim lifetime``
-the import of ``scipy.optimize`` and ``scipy.special``, which took longer
-than their whole computation.
+Keeping them here spares every subcommand the import of
+``scipy.special`` and ``scipy.optimize``, which took longer than the
+whole computation of ``qmemsim fidelity`` or ``lifetime`` and about as
+long as ``qmemsim store`` at its default trial count.
 
-:func:`minimize_bounded` is ported from scipy, which carries this notice:
+:func:`minimize_bounded` is a port of scipy's own code, and :func:`ndtri`
+and :func:`i0e` are ports of the Cephes Math Library (Copyright 1984,
+1987, 1989 by Stephen L. Moshier) as scipy distributes it, under scipy's
+notice:
 
     Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
     All rights reserved.
@@ -107,6 +114,107 @@ def i0e(x):
     if high.any():
         xh = x[high]
         out[high] = _chbevl(32.0 / xh - 2.0, _I0_B) / np.sqrt(xh)
+    return out[()]
+
+
+# Cephes ndtri.c: rational approximations P/Q with Q's leading 1 implied.
+# x / sqrt(2 pi) = y + y^3 P0(y^2) / Q0(y^2), y = y0 - 1/2, on the centre
+# exp(-2) < y0 < 1 - exp(-2); in the tails x = x0 - z P(z) / Q(z),
+# z = 1 / x, with P1/Q1 for x < 8 and P2/Q2 beyond.
+_NDTRI_P0 = (
+    -5.99633501014107895267E1, 9.80010754185999661536E1,
+    -5.66762857469070293439E1, 1.39312609387279679503E1,
+    -1.23916583867381258016E0,
+)
+_NDTRI_Q0 = (
+    1.95448858338141759834E0, 4.67627912898881538453E0,
+    8.63602421390890590575E1, -2.25462687854119370527E2,
+    2.00260212380060660359E2, -8.20372256168333339912E1,
+    1.59056225126211695515E1, -1.18331621121330003142E0,
+)
+_NDTRI_P1 = (
+    4.05544892305962419923E0, 3.15251094599893866154E1,
+    5.71628192246421288162E1, 4.40805073893200834700E1,
+    1.46849561928858024014E1, 2.18663306850790267539E0,
+    -1.40256079171354495875E-1, -3.50424626827848203418E-2,
+    -8.57456785154685413611E-4,
+)
+_NDTRI_Q1 = (
+    1.57799883256466749731E1, 4.53907635128879210584E1,
+    4.13172038254672030440E1, 1.50425385692907503408E1,
+    2.50464946208309415979E0, -1.42182922854787788574E-1,
+    -3.80806407691578277194E-2, -9.33259480895457427372E-4,
+)
+_NDTRI_P2 = (
+    3.23774891776946035970E0, 6.91522889068984211695E0,
+    3.93881025292474443415E0, 1.33303460815807542389E0,
+    2.01485389549179081538E-1, 1.23716634817820021358E-2,
+    3.01581553508235416007E-4, 2.65806974686737550832E-6,
+    6.23974539184983293730E-9,
+)
+_NDTRI_Q2 = (
+    6.02427039364742014255E0, 3.67983563856160859403E0,
+    1.37702099489081330271E0, 2.16236993594496635890E-1,
+    1.34204006088543189037E-2, 3.28014464682127739104E-4,
+    2.89247864745380683936E-6, 6.79019408009981274425E-9,
+)
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_S2PI = 2.50662827463100050242  # sqrt(2 pi)
+
+
+def _polevl(x, coeffs):
+    """Cephes ``polevl``: Horner's rule from the leading coefficient."""
+    ans = np.full_like(x, coeffs[0])
+    for c in coeffs[1:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _p1evl(x, coeffs):
+    """Cephes ``p1evl``: ``polevl`` with a leading coefficient of 1."""
+    ans = x + coeffs[0]
+    for c in coeffs[1:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _libm_log(x):
+    """The C library's ``log``, which scipy's compiled Cephes calls.
+
+    ``np.log`` rounds differently on a fraction of a percent of inputs
+    (its SIMD loops are not libm), so this maps ``math.log`` instead.
+    """
+    return np.fromiter(map(math.log, x.tolist()), dtype=float, count=x.size)
+
+
+def ndtri(y0):
+    """Inverse of the standard normal CDF elementwise, as ``scipy.special.ndtri``.
+
+    0 and 1 give -inf and +inf; values outside [0, 1] and NaN give NaN.
+    """
+    y0 = np.asarray(y0, dtype=float)
+    upper = y0 > 1.0 - _EXP_M2  # Cephes reflects these: y = 1 - y0, x = -x
+    y = np.where(upper, 1.0 - y0, y0)
+    out = np.where(y == 0.0, np.where(upper, np.inf, -np.inf), np.nan)
+
+    centre = y > _EXP_M2
+    yc = y[centre] - 0.5
+    y2 = yc * yc
+    out[centre] = (yc + yc * (y2 * _polevl(y2, _NDTRI_P0) / _p1evl(y2, _NDTRI_Q0))) * _S2PI
+
+    tail = ~(y <= 0.0) & ~centre  # NaN runs through, as in Cephes
+    x = np.sqrt(-2.0 * _libm_log(y[tail]))
+    x0 = x - _libm_log(x) / x
+    z = 1.0 / x
+    x1 = np.empty_like(z)
+    near = x < 8.0
+    for part, p, q in ((near, _NDTRI_P1, _NDTRI_Q1), (~near, _NDTRI_P2, _NDTRI_Q2)):
+        zp = z[part]
+        x1[part] = zp * _polevl(zp, p) / _p1evl(zp, q)
+    x = x0 - x1
+    out[tail] = np.where(upper[tail], x, -x)
     return out[()]
 
 

@@ -13,7 +13,8 @@ timestamps, floats are written with 17 significant digits, and CSV files
 use comma separators with LF line endings.  Exit status is 0 on success,
 2 for configuration errors (the message names the offending key), 3 for
 numerical failures such as quadrature or fit non-convergence, overflow,
-or a result that is not finite.
+or a result that is not finite; either prints one line to stderr and no
+warning.
 
 Each ``compute_<name>(cfg)`` returns its outputs as data, ``{file name:
 value}``: a table ``(header, block, ...)`` for ``.csv``, a document dict
@@ -545,6 +546,13 @@ def _fail(code, message):
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    # an overflow, invalid operation or division by zero raises
+    # FloatingPointError (exit 3) instead of printing a RuntimeWarning
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        return _run(args)
+
+
+def _run(args):
     formats = tuple(args.format) if args.format else ALL_FORMATS
     fields, compute = _COMMANDS[args.command]
     try:

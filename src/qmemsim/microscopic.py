@@ -97,10 +97,20 @@ class BinnedLightField:
     amplitudes: np.ndarray  # sqrt(flux * dt), one per bin
 
     def demodulation_weights(self, larmor_frequency):
-        """Unit-norm cosine and sine temporal-mode weights."""
-        cos = np.cos(larmor_frequency * self.times)
-        sin = np.sin(larmor_frequency * self.times)
-        return cos / np.linalg.norm(cos), sin / np.linalg.norm(sin)
+        """Unit-norm cosine and sine temporal-mode weights.
+
+        Raises ``ValueError`` when the precession over the pulse is too
+        small for the sine weight to have a nonzero norm.
+        """
+        phase = larmor_frequency * self.times
+        cos, sin = np.cos(phase), np.sin(phase)
+        sin_norm = np.linalg.norm(sin)
+        if sin_norm == 0:
+            raise ValueError(
+                f"larmor_frequency {larmor_frequency} precesses too little over "
+                "the pulse_duration: the sine demodulation weight has zero norm"
+            )
+        return cos / np.linalg.norm(cos), sin / sin_norm
 
 
 def bin_light_field(params):

@@ -8,12 +8,17 @@ and chunk boundaries stay block-aligned by construction.
 
 Normals are produced by inverse-CDF transform of the block's uniforms,
 which keeps the draw count per trial fixed (rejection samplers do not).
+The inverse CDF is :func:`qmemsim._solvers.ndtri`, a numpy port of
+Cephes' ``ndtri`` that returns the same bytes as ``scipy.special.ndtri``,
+so sampling needs numpy alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
+
+from ._solvers import ndtri
 
 __all__ = ["stream_key", "trial_normals", "DRAWS_PER_TRIAL"]
 
@@ -45,8 +50,6 @@ def trial_normals(key, start_trial, n_trials, width=2):
         raise ValueError("trial range must be nonnegative")
     if n_trials == 0:
         return np.empty((0, width))
-    from scipy.special import ndtri
-
     bg = Philox(key=key)
     bg.advance(int(start_trial))  # one counter block per trial
     u = Generator(bg).random(n_trials * DRAWS_PER_TRIAL)

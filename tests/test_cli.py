@@ -379,6 +379,10 @@ class TestMicroscopic:
             ({"sweep_bins": 1024.5}, "sweep_bins"),
             ({"sweep_bins": "1024"}, "sweep_bins"),
             ({"sweep_bins": True}, "sweep_bins"),
+            # no precession over the pulse: the sine weight has zero norm
+            ({"larmor_frequency": 0}, "larmor_frequency"),
+            ({"larmor_frequency": 1e-300}, "larmor_frequency"),
+            ({"pulse_duration": 1e-300}, "pulse_duration"),
         ],
     )
     def test_bad_value_exit_two(self, tmp_path, capsys, config, key):
@@ -594,9 +598,10 @@ def _reject_constant(token):
 def test_config_contract_fuzz(tmp_path, capsys):
     """Every key of every subcommand's field table, over awkward values.
 
-    Each run exits 0, 2 or 3 with no exception escaping.  Exit 2 writes
-    nothing and names the key under test; exit 0 writes no NaN or
-    Infinity into any JSON or SVG file and leaks no warning.
+    Each run exits 0, 2 or 3 with no exception escaping and no warning
+    leaked.  Exit 2 writes nothing and names the key under test; exit 3
+    prints its one-line message alone; exit 0 writes no NaN or Infinity
+    into any JSON or SVG file.
     """
     assert set(FUZZ_BASE) == set(cli._COMMANDS)
     cases = [
@@ -610,7 +615,7 @@ def test_config_contract_fuzz(tmp_path, capsys):
         case = tmp_path / str(n)
         case.mkdir()
         try:
-            # recorded, not ignored: overflow may warn on the way to exit 3
+            # recorded, not ignored: no run of any exit code may warn
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 code = run(case, command, {**FUZZ_BASE[command], key: value})
@@ -623,8 +628,10 @@ def test_config_contract_fuzz(tmp_path, capsys):
             broken.append((command, key, value, f"exit {code}", written))
         if code == 2 and key not in err:
             broken.append((command, key, value, "key not named", err))
-        if code == 0 and caught:
+        if caught:
             broken.append((command, key, value, [str(w.message) for w in caught]))
+        if code == 3 and err.count("\n") != 1:
+            broken.append((command, key, value, "more than one line", err))
         for path in written if code == 0 else ():
             if path.suffix == ".json":
                 try:

@@ -1,4 +1,5 @@
-"""Start-up guard: only ``store`` loads scipy, for its normal sampler.
+"""Start-up guard: importing the package and running any subcommand loads
+no scipy module; scipy is a test-only oracle.
 
 Each check runs in a fresh interpreter, since this test session has long
 since imported scipy itself.
@@ -62,15 +63,14 @@ def test_import_loads_no_scipy(tmp_path, code):
         ("calibrate", {"jx_points": 10, "n_cycles": 1000}),
         ("fidelity", {"n_max": 4.0}),
         ("lifetime", {"t_max_ms": 1.0, "t_step_ms": 0.5}),
+        ("store", {"input_x": 0.0, "input_p": -4.0, "n_trials": 200}),
     ],
 )
 def test_numpy_only_subcommands_load_no_scipy(tmp_path, command, config):
     assert run_cli(tmp_path, command, config) == set()
 
 
-def test_store_loads_special_only(tmp_path):
-    # also the positive control: the probe does see a scipy import
-    config = {"input_x": 0.0, "input_p": -4.0, "n_trials": 200}
-    loaded = run_cli(tmp_path, "store", config)
-    assert "scipy.special" in loaded
-    assert not any(m.startswith("scipy.optimize") for m in loaded)
+def test_probe_sees_a_scipy_import(tmp_path):
+    # positive control: the probe reports what it is asked to find
+    loaded = scipy_loaded_after(tmp_path, "import qmemsim.cli\nimport scipy.special")
+    assert {"scipy", "scipy.special"} <= loaded

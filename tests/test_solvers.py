@@ -1,7 +1,7 @@
 """The numpy ports in ``qmemsim._solvers`` equal their scipy originals bit for bit.
 
-scipy stays installed for ``qmemsim store``, so it serves as the oracle;
-every comparison is of ``tobytes()``, so a one-ulp difference fails.
+scipy is a test-only dependency that serves as the oracle; every
+comparison is of ``tobytes()``, so a one-ulp difference fails.
 """
 
 import math
@@ -27,6 +27,47 @@ from qmemsim.protocol import ChannelSummary, StorageParams, store_channel
 
 def same_bytes(a, b):
     return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+class TestNdtri:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
+                              exclude_max=True), min_size=1, max_size=64))
+    def test_matches_scipy(self, values):
+        y = np.array(values)
+        assert same_bytes(_solvers.ndtri(y), special.ndtri(y))
+
+    def test_sampler_uniforms(self):
+        # the inputs rng.trial_normals feeds it: [0, 1) lifted by half an ulp
+        y = np.random.default_rng(12).random(1_000_000) + 2.0**-54
+        assert same_bytes(_solvers.ndtri(y), special.ndtri(y))
+
+    def test_deep_tails(self):
+        # past x = 8 (y < exp(-32)) down to 1e-300, and the upper tail
+        rng = np.random.default_rng(13)
+        y = np.exp(-rng.uniform(0.0, 690.0, 200_000))
+        assert same_bytes(_solvers.ndtri(y), special.ndtri(y))
+        assert same_bytes(_solvers.ndtri(1.0 - y), special.ndtri(1.0 - y))
+
+    def test_branch_edge_and_special_values(self):
+        # both neighbours of each branch point: the centre's two ends and
+        # exp(-32), where x crosses 8
+        points = [math.exp(-2.0), 1.0 - math.exp(-2.0), math.exp(-32.0),
+                  1.0 - math.exp(-32.0)]
+        neighbours = [np.nextafter(p, to) for p in points for to in (0.0, 1.0)]
+        y = np.array([5e-324, 1e-300, 2.0**-54, 0.5, 1.0 - 2.0**-53, 0.0, -0.0,
+                      1.0, -5e-324, np.nextafter(1.0, 2.0), -np.inf, np.inf,
+                      np.nan, -np.nan, *points, *neighbours])
+        assert same_bytes(_solvers.ndtri(y), special.ndtri(y))
+        for value in y:  # a scalar gives a scalar, as from the ufunc
+            assert same_bytes(_solvers.ndtri(value), special.ndtri(value))
+            assert np.ndim(_solvers.ndtri(value)) == 0
+
+    def test_shape_kept(self):
+        y = np.random.default_rng(14).random((1000, 3)) + 2.0**-54
+        assert _solvers.ndtri(y).shape == (1000, 3)
+        assert same_bytes(_solvers.ndtri(y), special.ndtri(y))
+        assert _solvers.ndtri(np.empty((0, 2))).shape == (0, 2)
 
 
 class TestI0e:
