@@ -47,8 +47,8 @@ ALL_FORMATS = ("csv", "json", "svg")
 #: longest lifetime curve, in time points (t_max_ms / t_step_ms)
 MAX_CURVE_POINTS = 100_000
 # Caps on the count keys: the largest accepted run stays well under 1 GiB
-# peak RSS (about 160 MiB for store, 230 MiB for calibrate and 350 MiB for
-# microscopic).
+# peak RSS (about 160 MiB for store, 230 MiB for calibrate, 350 MiB for
+# microscopic and 55 MiB for lifetime at MAX_CURVE_POINTS).
 MAX_TRIALS = 1_000_000  # per verification arm
 MAX_HISTOGRAM_BINS = 100_000
 MAX_JX_POINTS = 1_000_000

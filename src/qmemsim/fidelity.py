@@ -21,20 +21,25 @@ from ._solvers import i0e, minimize_bounded
 __all__ = [
     "START_NODES",
     "MAX_NODES",
+    "BLOCK_POINTS",
     "CoherentSet",
     "overlap",
     "average_fidelity",
+    "average_fidelities",
     "classical_fidelity",
     "optimize_classical_gain",
     "classical_variance_bound",
 ]
 
-#: radial nodes of the first estimate of :func:`average_fidelity`
+#: radial nodes of the first estimate of :func:`average_fidelities`
 START_NODES = 32
 #: radial nodes at which doubling stops; ``leggauss(n)`` solves an n x n
 #: eigenproblem, so this bounds the time and memory of a quadrature that
 #: does not converge (4096 nodes: about 5 s and 300 MiB)
 MAX_NODES = 4096
+#: channels refined together by :func:`average_fidelities`; bounds its
+#: (channels, nodes) arrays to BLOCK_POINTS * MAX_NODES floats (8 MiB)
+BLOCK_POINTS = 256
 
 
 @dataclass(frozen=True)
@@ -65,8 +70,8 @@ def overlap(x1, p1, x2, p2, var_x, var_p):
     return 2.0 * np.exp(-(dx**2) / ax - dp**2 / ap) / np.sqrt(ax * ap)
 
 
-def _channel_exponents(channel):
-    """Quadratic-exponent coefficients of the overlap for a channel.
+def _channel_exponents(gain_x, gain_p, var_x, var_p):
+    """Quadratic-exponent coefficients of the overlap, per channel.
 
     The memory's P quadrature stores the input X (and X stores P), so the
     x-mismatch is weighted by ``var_p`` and carries ``gain_p``, and vice
@@ -76,10 +81,13 @@ def _channel_exponents(channel):
     # a huge variance overflows ax, ap or their product to inf and the
     # prefactor to 0; callers check the fidelity, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
-        ax = 1.0 + 2.0 * channel.var_p
-        ap = 1.0 + 2.0 * channel.var_x
-        u = (1.0 - channel.gain_p) ** 2 / ax
-        v = (1.0 - channel.gain_x) ** 2 / ap
+        ax = 1.0 + 2.0 * var_p
+        ap = 1.0 + 2.0 * var_x
+        # float_power calls C pow on every element, as ``**`` does on a
+        # Python or numpy scalar; ``**`` on an array squares instead, which
+        # rounds differently on about 0.1% of inputs
+        u = np.float_power(1.0 - gain_p, 2) / ax
+        v = np.float_power(1.0 - gain_x, 2) / ap
         return u, v, 2.0 / np.sqrt(ax * ap)
 
 
@@ -92,47 +100,98 @@ def _gauss_legendre(nodes):
     return xg, wg
 
 
-def _radial_estimate(cset, u, v, prefactor, nodes):
-    """Gauss-Legendre estimate of the phase-averaged overlap integral.
+def _radial_estimates(cset, u, v, prefactor, nodes):
+    """Gauss-Legendre estimates of the phase-averaged overlap integral.
 
-    The angular integral is carried out exactly:
-    the phase average of ``exp(-a cos^2 - b sin^2)`` is
-    ``exp(-(a + b)/2) I0((a - b)/2)``, evaluated here in scaled form for
-    numerical stability at large exponents.
+    One estimate per channel, from a (channels, nodes) array.  The
+    angular integral is carried out exactly: the phase average of
+    ``exp(-a cos^2 - b sin^2)`` is ``exp(-(a + b)/2) I0((a - b)/2)``,
+    evaluated here in scaled form for numerical stability at large
+    exponents.  Each row is summed by its own ``np.dot``, so a channel's
+    estimate does not depend on the others; a matrix product would sum
+    in another order.
     """
     s1, s2 = 2.0 * cset.n_min, 2.0 * cset.n_max  # alpha^2 range
     xg, wg = _gauss_legendre(nodes)
     s = 0.5 * (s2 - s1) * xg + 0.5 * (s2 + s1)
     w = 0.5 * (s2 - s1) * wg
-    half_sum = 0.5 * (u + v) * s
-    half_diff = 0.5 * (u - v) * s
+    half_sum = (0.5 * (u + v))[:, None] * s
+    half_diff = (0.5 * (u - v))[:, None] * s
     values = np.exp(-half_sum + np.abs(half_diff)) * i0e(half_diff)
-    return prefactor * np.dot(w, values) / (s2 - s1)
+    sums = np.fromiter(map(w.dot, values), float, len(values))
+    return prefactor * sums / (s2 - s1)
+
+
+def _refine(cset, u, v, prefactor, tol):
+    """Double the radial nodes until each channel's estimate converges.
+
+    A channel leaves the batch at the first doubling that changes its
+    estimate by less than ``tol``, so each result is the one a batch of
+    that channel alone would give.
+    """
+    out = np.empty(u.size)
+    pending = np.arange(u.size)
+    nodes = START_NODES
+    previous = _radial_estimates(cset, u, v, prefactor, nodes)
+    while 2 * nodes <= MAX_NODES:
+        nodes *= 2
+        current = _radial_estimates(cset, u, v, prefactor, nodes)
+        done = np.abs(current - previous) < tol
+        out[pending[done]] = current[done]
+        keep = ~done
+        if not keep.any():
+            return out
+        pending, u, v, prefactor = pending[keep], u[keep], v[keep], prefactor[keep]
+        previous = current[keep]
+    raise RuntimeError(
+        f"radial quadrature did not converge below {tol} by {nodes} nodes"
+    )
+
+
+def average_fidelities(cset, gain_x, gain_p, var_x, var_p, tol=1e-10):
+    """Set-averaged fidelity of each channel of a batch, as an array.
+
+    The channels' gains and variances are equal-length 1-D arrays (or
+    scalars, for one channel).  The overlap is integrated over the
+    coherent set with the angular integral reduced exactly and the
+    radial integral refined by doubling its nodes from
+    :data:`START_NODES` until two successive estimates agree within
+    ``tol``, for each channel on its own; raises ``RuntimeError`` when a
+    channel would need more than :data:`MAX_NODES`, and
+    ``FloatingPointError`` when a gain is so far from 1 that the overlap
+    exponent overflows.  Each doubling
+    evaluates every unconverged channel of a block of
+    :data:`BLOCK_POINTS` in one array, and a channel's value does not
+    depend on the others in the batch.
+    """
+    if not tol > 0:  # also rejects NaN, which never converges
+        raise ValueError("tolerance must be positive")
+    u, v, prefactor = map(
+        np.atleast_1d, _channel_exponents(gain_x, gain_p, var_x, var_p)
+    )
+    if not (np.isfinite(u).all() and np.isfinite(v).all()):
+        raise FloatingPointError(
+            "overlap exponent (1 - gain)^2 / (1 + 2 var) overflows: "
+            "gain_x or gain_p is too far from 1"
+        )
+    out = np.empty(u.size)
+    for start in range(0, u.size, BLOCK_POINTS):
+        block = slice(start, start + BLOCK_POINTS)
+        out[block] = _refine(cset, u[block], v[block], prefactor[block], tol)
+    return out
 
 
 def average_fidelity(cset, channel, tol=1e-10):
     """Set-averaged fidelity of a Gaussian channel summary.
 
-    Integrates the overlap over the coherent set with the angular
-    integral reduced exactly and the radial integral refined by doubling
-    its nodes from :data:`START_NODES` until two successive estimates
-    agree within ``tol``; raises ``RuntimeError`` before the count would
-    pass :data:`MAX_NODES`.
+    The one-channel case of :func:`average_fidelities`: the radial
+    nodes double from :data:`START_NODES` until two successive estimates
+    agree within ``tol``, and ``RuntimeError`` is raised before the count
+    would pass :data:`MAX_NODES`.
     """
-    if not tol > 0:  # also rejects NaN, which never converges
-        raise ValueError("tolerance must be positive")
-    u, v, pref = _channel_exponents(channel)
-    nodes = START_NODES
-    previous = _radial_estimate(cset, u, v, pref, nodes)
-    while 2 * nodes <= MAX_NODES:
-        nodes *= 2
-        current = _radial_estimate(cset, u, v, pref, nodes)
-        if abs(current - previous) < tol:
-            return current
-        previous = current
-    raise RuntimeError(
-        f"radial quadrature did not converge below {tol} by {nodes} nodes"
-    )
+    return average_fidelities(
+        cset, channel.gain_x, channel.gain_p, channel.var_x, channel.var_p, tol
+    )[0]
 
 
 def classical_fidelity(gain, n_min, n_max):

@@ -208,7 +208,13 @@ def ideal_reference(params, arm, input_mean):
     x_in, p_in = input_mean
     k_r = params.readout_coupling
     ref_mean = -x_in if arm == ARM_P else p_in
-    ref_sd = np.sqrt(0.5 + 0.5 / k_r**2)
+    try:
+        ref_sd = np.sqrt(0.5 + 0.5 / k_r**2)
+    except ZeroDivisionError:  # k_r**2 underflows to 0
+        raise ZeroDivisionError(
+            f"reference spread sqrt(1/2 + 1/(2 readout_coupling^2)) is infinite "
+            f"at readout_coupling {k_r}"
+        ) from None
     return ref_mean, ref_sd
 
 

@@ -221,14 +221,20 @@ def store_average(input_light, params):
 
 
 def store_channel(params):
-    """Closed-form summary of the averaged channel for coherent inputs."""
+    """Closed-form summary of the averaged channel for coherent inputs.
+
+    Raises ``OverflowError`` naming the coupling and gain when a stored
+    variance overflows.
+    """
     k, g = params.coupling, params.gain
-    return ChannelSummary(
-        gain_x=k,
-        gain_p=g,
-        var_x=params.atom_var_x + k**2 * VACUUM_VAR,
-        var_p=(1.0 - k * g) ** 2 * params.atom_var_p + g**2 * VACUUM_VAR,
-    )
+    try:
+        var_x = params.atom_var_x + k**2 * VACUUM_VAR
+        var_p = (1.0 - k * g) ** 2 * params.atom_var_p + g**2 * VACUUM_VAR
+    except OverflowError:  # a Python float's ``**`` raises one naming only errno
+        raise OverflowError(
+            f"stored channel variance overflows at coupling {k} and gain {g}"
+        ) from None
+    return ChannelSummary(gain_x=k, gain_p=g, var_x=var_x, var_p=var_p)
 
 
 def readout_map(atomic_state, readout_coupling):

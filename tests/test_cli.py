@@ -219,6 +219,13 @@ class TestFidelity:
         assert "Traceback" not in err
         assert not any((tmp_path / "out").iterdir())
 
+    @pytest.mark.parametrize("gains", [(1e200, 1.0), (1.0, -1e160)])
+    def test_far_gain_exits_three_naming_gains(self, tmp_path, capsys, gains):
+        config = {"gain_x": gains[0], "gain_p": gains[1], "var_x": 1.0, "var_p": 1.0}
+        assert run(tmp_path, "fidelity", config) == 3
+        assert "gain_x or gain_p" in capsys.readouterr().err
+        assert not any((tmp_path / "out").iterdir())
+
     def test_unconverged_quadrature_stops_at_node_cap(self, tmp_path):
         config = {"quad_tol": 1e-300, "n_max": 1000.0, "gain_x": 0.9,
                   "gain_p": 0.9, "var_x": 0.8, "var_p": 0.6}
@@ -589,6 +596,11 @@ FUZZ_BASE = {
 
 
 NON_FINITE_TEXT = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)
+#: what Python float arithmetic says on its own: an errno tuple from ``**``
+#: or a division by a square that underflowed to zero
+BARE_ARITHMETIC = re.compile(
+    r"numerical failure: (\(\d+, '[^']*'\)|float division by zero)\n\Z"
+)
 
 
 def _reject_constant(token):
@@ -600,8 +612,9 @@ def test_config_contract_fuzz(tmp_path, capsys):
 
     Each run exits 0, 2 or 3 with no exception escaping and no warning
     leaked.  Exit 2 writes nothing and names the key under test; exit 3
-    prints its one-line message alone; exit 0 writes no NaN or Infinity
-    into any JSON or SVG file.
+    prints its one-line message alone, and the message is more than
+    Python's bare arithmetic error; exit 0 writes no NaN or Infinity into
+    any JSON or SVG file.
     """
     assert set(FUZZ_BASE) == set(cli._COMMANDS)
     cases = [
@@ -632,6 +645,8 @@ def test_config_contract_fuzz(tmp_path, capsys):
             broken.append((command, key, value, [str(w.message) for w in caught]))
         if code == 3 and err.count("\n") != 1:
             broken.append((command, key, value, "more than one line", err))
+        if code == 3 and BARE_ARITHMETIC.match(err):
+            broken.append((command, key, value, "names nothing", err))
         for path in written if code == 0 else ():
             if path.suffix == ".json":
                 try:

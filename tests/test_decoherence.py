@@ -1,4 +1,8 @@
-"""Decay-model tests: semigroup, fixed point, lifetime calibration."""
+"""Decay-model tests: semigroup, fixed point, lifetime calibration.
+
+The batched lifetime curve is checked byte for byte against the curve
+built one time point at a time (``per_point``).
+"""
 
 import numpy as np
 import pytest
@@ -12,7 +16,8 @@ from qmemsim.decoherence import (
     decay_channel,
     fidelity_vs_time,
 )
-from qmemsim.fidelity import CoherentSet, optimize_classical_gain
+from qmemsim import fidelity
+from qmemsim.fidelity import CoherentSet, average_fidelity, optimize_classical_gain
 from qmemsim.gaussian import assert_physical, single_mode
 from qmemsim.protocol import StorageParams, store_channel
 
@@ -128,3 +133,91 @@ class TestLifetimeCurve:
         times = np.array([0.0, 1.0, 2.0])
         assert crossing_time(times, [3.0, 2.0, 1.0], 0.5) is None
         assert crossing_time(times, [3.0, 2.0, 1.0], 1.5) == pytest.approx(1.5)
+
+
+def per_point(cset, params, decay, times):
+    """The lifetime curve one time point at a time."""
+    base = store_channel(params)
+    return np.array(
+        [average_fidelity(cset, decay_channel(base, t, decay)) for t in times]
+    )
+
+
+def lifetime_inputs(crossing_ms=4.0, excess=0.5, t_max_ms=6.0, t_step_ms=0.1):
+    """Arguments of ``fidelity_vs_time`` as ``qmemsim lifetime`` builds them."""
+    cset, params = CoherentSet(0, 10), StorageParams()
+    decay = calibrate_tau(cset, params, crossing_ms * 1e-3, excess_noise_rate=excess)
+    times = np.arange(0.0, t_max_ms * 1e-3 + 1e-12, t_step_ms * 1e-3)
+    return cset, params, decay, times
+
+
+#: random curves of the byte-equality sweep, 301 points each
+SWEEP_CURVES = 20
+#: points of this curve converge at 64, 128, 256 and 512 radial nodes
+MIXED = (CoherentSet(0, 1e4), StorageParams(coupling=1.0), DecayParams(4e-3, 0.5))
+
+
+class TestBatchedCurve:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {},  # the lifetime defaults
+            {"crossing_ms": 3.0, "excess": 0.5, "t_step_ms": 0.01},  # perfbench's
+            {"crossing_ms": 5.0, "excess": 0.8, "t_step_ms": 0.01},  # range ends
+            {"t_step_ms": 0.001, "t_max_ms": 10.0},
+        ],
+    )
+    def test_lifetime_configs_match_per_point_bytes(self, config):
+        args = lifetime_inputs(**config)
+        assert fidelity_vs_time(*args).tobytes() == per_point(*args).tobytes()
+
+    def test_mixed_node_counts_match_per_point_bytes(self):
+        times = np.arange(0.0, 6e-3 + 1e-12, 1e-5)
+        assert (
+            fidelity_vs_time(*MIXED, times).tobytes()
+            == per_point(*MIXED, times).tobytes()
+        )
+
+    def test_random_params_match_per_point_bytes(self):
+        rng = np.random.default_rng(2024)
+        times = np.arange(0.0, 6e-3 + 1e-12, 2e-5)
+        for _ in range(SWEEP_CURVES):
+            cset = CoherentSet(0.0, rng.uniform(1.0, 200.0))
+            params = StorageParams(
+                coupling=rng.uniform(0.5, 1.5),
+                gain=rng.uniform(0.5, 1.5),
+                atom_var_x=rng.uniform(0.5, 1.0),
+                atom_var_p=rng.uniform(0.5, 1.0),
+            )
+            decay = DecayParams(rng.uniform(1e-3, 1e-2), rng.uniform(0.0, 1.0))
+            curve = fidelity_vs_time(cset, params, decay, times)
+            assert curve.tobytes() == per_point(cset, params, decay, times).tobytes()
+
+    def test_blocks_do_not_change_bytes(self, monkeypatch):
+        times = np.arange(0.0, 6e-3 + 1e-12, 1e-5)  # 601 points, 97 does not divide
+        whole = fidelity_vs_time(*MIXED, times)
+        monkeypatch.setattr(fidelity, "BLOCK_POINTS", 97)
+        blocked = fidelity_vs_time(*MIXED, times)
+        monkeypatch.setattr(fidelity, "BLOCK_POINTS", times.size)
+        assert blocked.tobytes() == whole.tobytes()
+        assert fidelity_vs_time(*MIXED, times).tobytes() == whole.tobytes()
+
+    def test_unconverged_point_raises_at_node_cap(self, monkeypatch):
+        # only the last of these four times needs more than 256 nodes
+        monkeypatch.setattr(fidelity, "MAX_NODES", 256)
+        times = np.array([0.0, 1e-3, 3e-3, 6e-3])
+        per_point(*MIXED, times[:3])
+        with pytest.raises(RuntimeError) as single:
+            per_point(*MIXED, times[3:])
+        with pytest.raises(RuntimeError) as batch:
+            fidelity_vs_time(*MIXED, times)
+        assert str(batch.value) == str(single.value)
+        assert str(batch.value).endswith("below 1e-10 by 256 nodes")
+
+    def test_nan_time_names_the_gain(self):
+        with pytest.raises(ValueError, match="gain_x must be finite, got nan"):
+            fidelity_vs_time(*MIXED, [0.0, np.nan])
+
+    def test_empty_times(self):
+        curve = fidelity_vs_time(*MIXED, [])
+        assert curve.shape == (0,) and curve.dtype == float

@@ -3,7 +3,8 @@
 Independent oracles used here: a Wigner-function grid integral for the
 two-state overlap, a brute-force 2-d quadrature for the set averages
 (``average_fidelity_grid``), and a golden-section search for the gain
-optimum.
+optimum.  ``average_fidelity_scalar`` is the one-channel quadrature
+written with scalars, which the batched one must match byte for byte.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ from numpy.polynomial.legendre import leggauss
 from numpy.testing import assert_allclose
 
 from qmemsim import fidelity
+from qmemsim._solvers import i0e
 from qmemsim.fidelity import (
     CoherentSet,
     average_fidelity,
@@ -47,7 +49,9 @@ def average_fidelity_grid(cset, channel, tol=1e-10):
     grid, both doubled from 32 nodes until two successive estimates
     agree within ``tol``.
     """
-    u, v, pref = fidelity._channel_exponents(channel)
+    u, v, pref = fidelity._channel_exponents(
+        channel.gain_x, channel.gain_p, channel.var_x, channel.var_p
+    )
     s1, s2 = 2.0 * cset.n_min, 2.0 * cset.n_max
 
     def estimate(n):
@@ -154,6 +158,39 @@ class TestOverlap:
             overlap(0, 0, 0, 0, 0.0, 0.5)
 
 
+def average_fidelity_scalar(cset, channel, tol=1e-10):
+    """The radial quadrature of one channel, with scalar exponents.
+
+    The same arithmetic as :func:`average_fidelity`, in the order a
+    single channel evaluates it: Python-float exponents (``**`` is C
+    pow), 1-d node arrays and one ``np.dot`` per estimate.
+    """
+    ax, ap = 1.0 + 2.0 * channel.var_p, 1.0 + 2.0 * channel.var_x
+    u = (1.0 - channel.gain_p) ** 2 / ax
+    v = (1.0 - channel.gain_x) ** 2 / ap
+    pref = 2.0 / np.sqrt(ax * ap)
+    s1, s2 = 2.0 * cset.n_min, 2.0 * cset.n_max
+
+    def estimate(nodes):
+        xg, wg = leggauss(nodes)
+        s = 0.5 * (s2 - s1) * xg + 0.5 * (s2 + s1)
+        w = 0.5 * (s2 - s1) * wg
+        half_sum = 0.5 * (u + v) * s
+        half_diff = 0.5 * (u - v) * s
+        values = np.exp(-half_sum + np.abs(half_diff)) * i0e(half_diff)
+        return pref * np.dot(w, values) / (s2 - s1)
+
+    nodes = fidelity.START_NODES
+    previous = estimate(nodes)
+    while 2 * nodes <= fidelity.MAX_NODES:
+        nodes *= 2
+        current = estimate(nodes)
+        if abs(current - previous) < tol:
+            return current
+        previous = current
+    raise AssertionError(f"did not converge below {tol} by {nodes} nodes")
+
+
 class TestAverageFidelity:
     def test_identity_channel(self):
         ch = ChannelSummary(1.0, 1.0, 0.5, 0.5)
@@ -184,6 +221,33 @@ class TestAverageFidelity:
         a = average_fidelity(cset, channel)
         b = average_fidelity_grid(cset, channel)
         assert a == pytest.approx(b, abs=1e-8)
+
+    def test_matches_scalar_quadrature_bytes(self):
+        # the one-channel case of the batched quadrature changes no byte
+        rng = np.random.default_rng(13)
+        for _ in range(300):
+            cset = CoherentSet(rng.uniform(0.0, 5.0), rng.uniform(6.0, 300.0))
+            gains, variances = rng.uniform(0.0, 1.5, 2), rng.uniform(0.3, 3.0, 2)
+            channel = ChannelSummary(*gains, *variances)
+            expected = average_fidelity_scalar(cset, channel)
+            assert average_fidelity(cset, channel).tobytes() == expected.tobytes()
+
+    def test_batch_values_match_one_channel_calls(self):
+        rng = np.random.default_rng(14)
+        gains = rng.uniform(0.0, 1.5, (2, 50))
+        variances = rng.uniform(0.3, 3.0, (2, 50))
+        cset = CoherentSet(0, 100)
+        batch = fidelity.average_fidelities(cset, *gains, *variances)
+        single = [
+            average_fidelity(cset, ChannelSummary(*g, *var))
+            for g, var in zip(gains.T, variances.T)
+        ]
+        assert batch.tobytes() == np.array(single).tobytes()
+
+    @pytest.mark.parametrize("gains", [(1e200, 1.0), (1.0, -1e160)])
+    def test_overflowing_exponent_names_gains(self, gains):
+        with pytest.raises(FloatingPointError, match="gain_x or gain_p"):
+            average_fidelity(CoherentSet(0, 8), ChannelSummary(*gains, 1.0, 1.0))
 
     def test_nonconvergence_raises_with_node_counts(self, monkeypatch):
         monkeypatch.setattr(fidelity, "START_NODES", 2)

@@ -22,7 +22,7 @@ from qmemsim.fidelity import (
     classical_fidelity,
     optimize_classical_gain,
 )
-from qmemsim.protocol import ChannelSummary, StorageParams, store_channel
+from qmemsim.protocol import StorageParams, store_channel
 
 
 def same_bytes(a, b):
@@ -93,8 +93,8 @@ class TestI0e:
         st.floats(1.0, 1000.0), st.sampled_from([32, 64, 128, 256]),
     )
     def test_quadrature_arguments(self, gain_x, gain_p, var_x, var_p, n_max, nodes):
-        # the half_diff array _radial_estimate builds, on both series ranges
-        u, v, _ = _channel_exponents(ChannelSummary(gain_x, gain_p, var_x, var_p))
+        # the half_diff array _radial_estimates builds, on both series ranges
+        u, v, _ = _channel_exponents(gain_x, gain_p, var_x, var_p)
         xg, _ = _gauss_legendre(nodes)
         s = 0.5 * (2.0 * n_max) * xg + 0.5 * (2.0 * n_max)
         half_diff = 0.5 * (u - v) * s
