@@ -47,8 +47,9 @@ ALL_FORMATS = ("csv", "json", "svg")
 #: longest lifetime curve, in time points (t_max_ms / t_step_ms)
 MAX_CURVE_POINTS = 100_000
 # Caps on the count keys: the largest accepted run stays well under 1 GiB
-# peak RSS (about 160 MiB for store, 230 MiB for calibrate, 350 MiB for
-# microscopic and 55 MiB for lifetime at MAX_CURVE_POINTS).
+# peak RSS (about 80 MiB for store, 165 MiB for calibrate and 335 MiB for
+# its re-fit from that run's series_csv, 350 MiB for microscopic and
+# 55 MiB for lifetime at MAX_CURVE_POINTS).
 MAX_TRIALS = 1_000_000  # per verification arm
 MAX_HISTOGRAM_BINS = 100_000
 MAX_JX_POINTS = 1_000_000
@@ -63,29 +64,12 @@ class ConfigError(Exception):
 
 
 def _write_table(path, table):
-    """Write ``(header, block, ...)`` as CSV, one block at a time.
+    """``_csv.write_table``, imported at the first write: building its tables
+    touches numpy code that nothing before it runs, and those pages then
+    count after the computation's peak RSS, not on top of it."""
+    from ._csv import write_table
 
-    A block is a tuple of equal-length columns: numpy arrays or plain
-    iterables such as ``range``.  Float arrays are written to 17
-    significant digits and every other value with ``str``; iterators are
-    consumed, so a table is written once.  Raises ``ValueError`` on a NaN
-    or infinity, before opening ``path``.
-    """
-    header, *blocks = table
-    for column in (c for block in blocks for c in block):
-        if _is_float(column) and not np.isfinite(column).all():
-            raise ValueError(f"{column[~np.isfinite(column)][0]} in CSV output")
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for block in blocks:
-            row = ",".join("{:.17g}" if _is_float(c) else "{}" for c in block) + "\n"
-            # no name holds the lists, so one block's are freed before the next's
-            cells = (c.tolist() if isinstance(c, np.ndarray) else c for c in block)
-            fh.writelines(itertools.starmap(row.format, zip(*cells)))
-
-
-def _is_float(column):
-    return isinstance(column, np.ndarray) and column.dtype.kind == "f"
+    write_table(path, table)
 
 
 def _write_json(path, document):
@@ -195,11 +179,17 @@ STORE_FIELDS = {
 def compute_store(cfg):
     input_mean = (cfg["input_x"], cfg["input_p"])
     params = _storage_params(cfg)
-    series = {
-        arm: montecarlo.run_series(input_mean, params, arm, cfg["n_trials"], cfg["seed"])
-        for arm in (montecarlo.ARM_P, montecarlo.ARM_X)
-    }
     k_r = params.readout_coupling
+    # numpy's overflow messages name only the ufunc
+    storage_keys = "'coupling', 'gain', 'readout_coupling', 'atom_var_x' or 'atom_var_p'"
+    try:
+        series = {
+            arm: montecarlo.run_series(input_mean, params, arm, cfg["n_trials"],
+                                       cfg["seed"])
+            for arm in (montecarlo.ARM_P, montecarlo.ARM_X)
+        }
+    except FloatingPointError:
+        raise FloatingPointError(f"the storage channel overflows: bad value for {storage_keys}")
     hists = {}
     for arm, trials in series.items():
         ref_mean, ref_sd = montecarlo.ideal_reference(params, arm, input_mean)
@@ -207,9 +197,15 @@ def compute_store(cfg):
             trials, bins=cfg["histogram_bins"], scale=montecarlo.ARM_SIGN[arm] / k_r,
             ref_mean=ref_mean, ref_sd=ref_sd,
         )
-    recon = montecarlo.estimate_channel(
-        series[montecarlo.ARM_P], series[montecarlo.ARM_X], k_r
-    )
+    try:
+        recon = montecarlo.estimate_channel(
+            series[montecarlo.ARM_P], series[montecarlo.ARM_X], k_r
+        )
+    except FloatingPointError:
+        raise FloatingPointError(
+            "the moments of the outcomes overflow: bad value for 'input_x', "
+            f"'input_p', {storage_keys}"
+        )
 
     x_in, p_in = input_mean
     report = {
@@ -281,14 +277,26 @@ def compute_fidelity(cfg):
     channel = ChannelSummary(*channel_keys) if configured else None
 
     ideal = ChannelSummary(1.0, 1.0, 1.0, 0.5)
-    channel_rows = [
-        ("ideal_css_protocol", 1.0, 1.0, 1.0, 0.5, average_fidelity(cset, ideal, tol))
-    ]
+    photons = f"over photon numbers [{cset.n_min}, {cset.n_max}]"
+    try:
+        f_ideal = average_fidelity(cset, ideal, tol)
+    except FloatingPointError:  # numpy's message names only the ufunc
+        raise FloatingPointError(
+            f"the fidelity quadrature {photons} overflows: bad value for 'n_max'"
+        )
+    channel_rows = [("ideal_css_protocol", 1.0, 1.0, 1.0, 0.5, f_ideal)]
     if configured:
         channel_rows.append(
             ("configured_channel", *channel_keys, average_fidelity(cset, channel, tol))
         )
-    g_opt, f_max = optimize_classical_gain(cset.n_min, cset.n_max)
+    try:
+        g_opt, f_max = optimize_classical_gain(cset.n_min, cset.n_max)
+        if not np.isfinite(f_max):
+            raise FloatingPointError
+    except FloatingPointError:  # the closed form overflows for a large set
+        raise FloatingPointError(
+            f"the classical optimum {photons} is not finite: bad value for 'n_max'"
+        )
     classical = {
         "classical_optimum": f_max,
         "classical_unit_gain": classical_fidelity(1.0, cset.n_min, cset.n_max),

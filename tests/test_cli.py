@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import itertools
 import json
 import re
 import subprocess
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qmemsim
-from qmemsim import cli
+from qmemsim import _csv, cli
 from qmemsim.cli import _write_table, main
 from qmemsim.fidelity import MAX_NODES
 
@@ -572,6 +573,43 @@ class TestTableWriter:
         )
 
 
+class TestChunkedWriter:
+    """Blocks around the chunk size, and every column kind the CLI passes."""
+
+    @staticmethod
+    def mixed_block(n, seed):
+        rng = np.random.default_rng(seed)
+        floats = rng.normal(size=n) * 10.0 ** rng.integers(-12, 18, size=n)
+        floats[::7] = 0.0
+        floats[::11] = rng.choice(EDGE_FLOATS, size=floats[::11].size)
+        labels = [f"l{i % 13}" for i in range(n)]
+        return (
+            floats,
+            rng.integers(-(2**63), 2**63 - 1, size=n, endpoint=True),
+            range(-3, 7 * n - 3, 7),
+            itertools.repeat("p", n),
+            labels,
+            tuple(reversed(labels)),
+        )
+
+    @pytest.mark.parametrize("n", [_csv.CHUNK_ROWS - 1, _csv.CHUNK_ROWS,
+                                   _csv.CHUNK_ROWS + 1])
+    def test_blocks_around_the_chunk_size(self, tmp_path, n):
+        header = ["float", "int", "range", "repeat", "list", "tuple"]
+        table = (header, self.mixed_block(n, n), self.mixed_block(3, 0))
+        reference = (header, self.mixed_block(n, n), self.mixed_block(3, 0))
+        _write_table(tmp_path / "table.csv", table)
+        write_reference(tmp_path / "reference.csv", reference)
+        assert (tmp_path / "table.csv").read_bytes() == (
+            tmp_path / "reference.csv").read_bytes()
+        assert next(table[1][3], None) is None  # iterators are consumed
+
+    def test_block_ends_with_its_shortest_column(self, tmp_path):
+        block = (np.arange(5.0), range(3), iter(["a", "b", "c", "d"]))
+        _write_table(tmp_path / "table.csv", (["a", "b", "c"], block))
+        assert (tmp_path / "table.csv").read_bytes() == b"a,b,c\n0,0,a\n1,1,b\n2,2,c\n"
+
+
 def test_unread_keys_are_still_checked(tmp_path, capsys):
     assert run(tmp_path, "microscopic", {"sweep": False, "sweep_bins": "x"}) == 2
     assert "sweep_bins" in capsys.readouterr().err
@@ -613,7 +651,8 @@ def test_config_contract_fuzz(tmp_path, capsys):
     Each run exits 0, 2 or 3 with no exception escaping and no warning
     leaked.  Exit 2 writes nothing and names the key under test; exit 3
     prints its one-line message alone, and the message is more than
-    Python's bare arithmetic error; exit 0 writes no NaN or Infinity into
+    Python's bare arithmetic error (for store and fidelity, more than
+    numpy's "... encountered in <ufunc>"); exit 0 writes no NaN or Infinity into
     any JSON or SVG file.
     """
     assert set(FUZZ_BASE) == set(cli._COMMANDS)
@@ -647,6 +686,8 @@ def test_config_contract_fuzz(tmp_path, capsys):
             broken.append((command, key, value, "more than one line", err))
         if code == 3 and BARE_ARITHMETIC.match(err):
             broken.append((command, key, value, "names nothing", err))
+        if code == 3 and command in ("store", "fidelity") and "encountered in" in err:
+            broken.append((command, key, value, "names only the ufunc", err))
         for path in written if code == 0 else ():
             if path.suffix == ".json":
                 try:
@@ -656,3 +697,24 @@ def test_config_contract_fuzz(tmp_path, capsys):
             if path.suffix == ".svg" and NON_FINITE_TEXT.search(path.read_text()):
                 broken.append((command, key, value, path.name, "not finite"))
     assert not broken
+
+
+@pytest.mark.parametrize("command, config, key", [
+    ("fidelity", {"n_max": 4300}, "n_max"),  # NaN steps in the minimiser
+    ("fidelity", {"n_max": 1e12}, "n_max"),
+    ("fidelity", {"n_max": 1e154}, "n_max"),
+    ("fidelity", {"n_max": 1e200}, "n_max"),
+    ("fidelity", {"n_max": 1e308}, "n_max"),
+    ("store", {"coupling": 1e200}, "coupling"),
+    ("store", {"gain": 1e154}, "gain"),
+    ("store", {"readout_coupling": 1e308}, "readout_coupling"),
+    ("store", {"readout_coupling": 1e-160}, "readout_coupling"),
+    ("store", {"atom_var_x": 1e308}, "atom_var_x"),
+    ("store", {"atom_var_p": 1e30}, "atom_var_p"),
+])
+def test_overflow_names_the_key(tmp_path, capsys, command, config, key):
+    """An overflow exits 3 before any file is written, naming the key."""
+    assert run(tmp_path, command, {**FUZZ_BASE[command], **config}) == 3
+    err = capsys.readouterr().err
+    assert f"'{key}'" in err and "encountered in" not in err
+    assert not list((tmp_path / "out").iterdir())
