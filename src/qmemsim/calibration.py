@@ -10,6 +10,7 @@ range therefore isolates the linear (quantum) contribution.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,6 +30,8 @@ __all__ = [
 
 #: the columns of a series, in the order of a points file's header
 COLUMNS = ["jx_proxy", "normalized_noise", "se", "n_cycles"]
+#: one row of a points file; the column dtypes of a series
+_ROW = np.dtype(list(zip(COLUMNS, (float, float, float, np.int64))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,8 +49,8 @@ class CalibrationSeries:
     n_cycles: np.ndarray
 
     def __post_init__(self):
-        for name, dtype in zip(COLUMNS, (float, float, float, np.int64)):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        for name in COLUMNS:
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=_ROW[name]))
         if not all(np.isfinite(getattr(self, name)).all() for name in COLUMNS):
             raise ValueError("calibration values must be finite")
         bounds = {"jx_proxy >= 0": self.jx_proxy >= 0, "se > 0": self.se > 0,
@@ -179,10 +182,15 @@ def pnl_sensitivity(channel, cset, rescale=0.10):
 
 
 def read_points_csv(path):
+    """A series from a points file: the ``COLUMNS`` header, then one row per
+    point, parsed straight into columns.  Raises ``ValueError`` on a bad
+    header, a row without exactly four fields or a field that does not parse
+    (``n_cycles`` as an int64)."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header != COLUMNS:
             raise ValueError(f"unexpected header {header!r}")
-        rows = [(float(a), float(b), float(c), int(d)) for a, b, c, d in reader]
-    return CalibrationSeries(*(zip(*rows) if rows else [()] * 4))
+        with warnings.catch_warnings():  # a header-only file is an empty series
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            rows = np.loadtxt(fh, dtype=_ROW, delimiter=",", comments=None, ndmin=1)
+    return CalibrationSeries(*(rows[name] for name in COLUMNS))

@@ -47,8 +47,8 @@ ALL_FORMATS = ("csv", "json", "svg")
 #: longest lifetime curve, in time points (t_max_ms / t_step_ms)
 MAX_CURVE_POINTS = 100_000
 # Caps on the count keys: the largest accepted run stays well under 1 GiB
-# peak RSS (about 80 MiB for store, 165 MiB for calibrate and 335 MiB for
-# its re-fit from that run's series_csv, 350 MiB for microscopic and
+# peak RSS (about 80 MiB for store, 165 MiB for calibrate and 147 MiB for
+# its re-fit from that run's series_csv, 334 MiB for microscopic and
 # 55 MiB for lifetime at MAX_CURVE_POINTS).
 MAX_TRIALS = 1_000_000  # per verification arm
 MAX_HISTOGRAM_BINS = 100_000
@@ -256,6 +256,20 @@ def compute_store(cfg):
     }
 
 
+def _classical_optimum(cset):
+    """``optimize_classical_gain`` over the set, checked to be finite."""
+    try:
+        g_opt, f_max = optimize_classical_gain(cset.n_min, cset.n_max)
+        if not np.isfinite(f_max):
+            raise FloatingPointError
+    except FloatingPointError:  # the closed form overflows for a large set
+        raise FloatingPointError(
+            f"the classical optimum over photon numbers [{cset.n_min}, "
+            f"{cset.n_max}] is not finite: bad value for 'n_max'"
+        )
+    return g_opt, f_max
+
+
 FIDELITY_FIELDS = {
     "n_min": (float, 0.0),
     "n_max": (float, 8.0),
@@ -277,26 +291,19 @@ def compute_fidelity(cfg):
     channel = ChannelSummary(*channel_keys) if configured else None
 
     ideal = ChannelSummary(1.0, 1.0, 1.0, 0.5)
-    photons = f"over photon numbers [{cset.n_min}, {cset.n_max}]"
     try:
         f_ideal = average_fidelity(cset, ideal, tol)
     except FloatingPointError:  # numpy's message names only the ufunc
         raise FloatingPointError(
-            f"the fidelity quadrature {photons} overflows: bad value for 'n_max'"
+            f"the fidelity quadrature over photon numbers [{cset.n_min}, "
+            f"{cset.n_max}] overflows: bad value for 'n_max'"
         )
     channel_rows = [("ideal_css_protocol", 1.0, 1.0, 1.0, 0.5, f_ideal)]
     if configured:
         channel_rows.append(
             ("configured_channel", *channel_keys, average_fidelity(cset, channel, tol))
         )
-    try:
-        g_opt, f_max = optimize_classical_gain(cset.n_min, cset.n_max)
-        if not np.isfinite(f_max):
-            raise FloatingPointError
-    except FloatingPointError:  # the closed form overflows for a large set
-        raise FloatingPointError(
-            f"the classical optimum {photons} is not finite: bad value for 'n_max'"
-        )
+    g_opt, f_max = _classical_optimum(cset)
     classical = {
         "classical_optimum": f_max,
         "classical_unit_gain": classical_fidelity(1.0, cset.n_min, cset.n_max),
@@ -403,16 +410,22 @@ MICROSCOPIC_FIELDS = {
 
 
 def compute_microscopic(cfg):
-    params = microscopic.tuned_params(
-        cfg["target_coupling"],
-        bins=cfg["bins"],
-        larmor_frequency=cfg["larmor_frequency"],
-        pulse_duration=cfg["pulse_duration"],
-        collective_spin=cfg["collective_spin"],
-    )
-    couplings = microscopic.demodulate(microscopic.propagate_binned(params))
-    k_theory = microscopic.theoretical_coupling(params)
-    rel_dev = abs(couplings.coupling - k_theory) / k_theory
+    # numpy's overflow messages name only the ufunc
+    out_of_range = ("the couplings over- or underflow: bad value for "
+                    "'target_coupling' or 'collective_spin'")
+    try:
+        params = microscopic.tuned_params(
+            cfg["target_coupling"],
+            bins=cfg["bins"],
+            larmor_frequency=cfg["larmor_frequency"],
+            pulse_duration=cfg["pulse_duration"],
+            collective_spin=cfg["collective_spin"],
+        )
+        couplings = microscopic.demodulate(microscopic.propagate_binned(params))
+        k_theory = microscopic.theoretical_coupling(params)
+        rel_dev = abs(couplings.coupling - k_theory) / k_theory
+    except FloatingPointError:
+        raise FloatingPointError(out_of_range)
 
     sweep_rows = []
     slope = None
@@ -428,6 +441,8 @@ def compute_microscopic(cfg):
         except ValueError as exc:
             # the other keys already built valid params above
             raise ValueError(f"bad value for 'sweep_bins': {exc}")
+        except FloatingPointError:
+            raise FloatingPointError(out_of_range)
         slope = float(
             np.polyfit(
                 np.log([r["omega_t"] for r in sweep_rows]),
@@ -478,6 +493,8 @@ def compute_lifetime(cfg):
             f"bad value for 't_step_ms': {cfg['t_step_ms']} ms up to t_max_ms "
             f"{cfg['t_max_ms']} ms gives more than {MAX_CURVE_POINTS} time points"
         )
+    # before calibrate_tau, whose own finiteness check names no key
+    _, f_class = _classical_optimum(cset)
     try:
         decay = decoherence.calibrate_tau(
             cset,
@@ -489,7 +506,6 @@ def compute_lifetime(cfg):
         raise ValueError(f"bad value for 'crossing_ms': {exc}")
     times = np.arange(0.0, stop, step)
     fids = decoherence.fidelity_vs_time(cset, params, decay, times)
-    _, f_class = optimize_classical_gain(cset.n_min, cset.n_max)
     crossing = decoherence.crossing_time(times, fids, f_class)
     return {
         "lifetime.csv": (

@@ -27,14 +27,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernels
-from .gaussian import SymplecticMap
 
 __all__ = [
     "PhysicalParams",
-    "BinnedLightField",
     "BinnedPropagation",
     "ModeCouplings",
-    "bin_light_field",
     "propagate_binned",
     "demodulate",
     "theoretical_coupling",
@@ -45,8 +42,6 @@ __all__ = [
 
 # indices into the 8 x 8 demodulated coupling matrix
 COS_X, COS_P, SIN_X, SIN_P, ATOM_X, ATOM_P, ATOM_X2, ATOM_P2 = range(8)
-
-_DENSE_LIMIT = 1200  # bins; dense matrices beyond this are refused
 
 
 @dataclass(frozen=True)
@@ -89,50 +84,27 @@ class PhysicalParams:
             )
 
 
-@dataclass(frozen=True)
-class BinnedLightField:
-    """Discretized light mode: bin midpoints and coupling amplitudes."""
-
-    times: np.ndarray
-    amplitudes: np.ndarray  # sqrt(flux * dt), one per bin
-
-    def demodulation_weights(self, larmor_frequency):
-        """Unit-norm cosine and sine temporal-mode weights.
-
-        Raises ``ValueError`` when the precession over the pulse is too
-        small for the sine weight to have a nonzero norm.
-        """
-        phase = larmor_frequency * self.times
-        cos, sin = np.cos(phase), np.sin(phase)
-        sin_norm = np.linalg.norm(sin)
-        if sin_norm == 0:
-            raise ValueError(
-                f"larmor_frequency {larmor_frequency} precesses too little over "
-                "the pulse_duration: the sine demodulation weight has zero norm"
-            )
-        return cos / np.linalg.norm(cos), sin / sin_norm
-
-
-def bin_light_field(params):
+def _bin_grid(params):
+    """Bin width ``dt`` and the light amplitude ``sqrt(photon_flux * dt)`` of every bin."""
     dt = params.pulse_duration / params.bins
-    times = (np.arange(params.bins) + 0.5) * dt
-    amplitudes = np.full(times.shape, np.sqrt(params.photon_flux * dt))
-    return BinnedLightField(times=times, amplitudes=amplitudes)
+    return dt, np.sqrt(params.photon_flux * dt)
 
 
 class BinnedPropagation:
     """Composed per-bin kicks, kept in banded (per-bin) form.
 
-    The full map acts on ``2 * bins + 4`` variables; it is never
-    materialized densely except for small bin counts (tests).  Applying
-    it to a batch of phase-space vectors costs O(bins * batch).
+    ``cos`` and ``sin`` sample the precession phase at the bin midpoints,
+    and the kicks are ``kappa_cos = kappa * cos`` and ``kappa_sin = kappa *
+    sin``.  The full map acts on ``2 * bins + 4`` variables and is never
+    materialized; applying it to a batch of phase-space vectors costs
+    O(bins * batch).
     """
 
-    def __init__(self, params, light, kappa_cos, kappa_sin):
+    def __init__(self, params, cos, sin, kappa):
         self.params = params
-        self.light = light
-        self.kappa_cos = np.ascontiguousarray(kappa_cos, dtype=float)
-        self.kappa_sin = np.ascontiguousarray(kappa_sin, dtype=float)
+        self.cos, self.sin = cos, sin
+        self.kappa_cos = kappa * cos
+        self.kappa_sin = kappa * sin
 
     @property
     def bins(self):
@@ -141,10 +113,6 @@ class BinnedPropagation:
     @property
     def n_vars(self):
         return 2 * self.bins + 4
-
-    def atom_rows(self):
-        base = 2 * self.bins
-        return base, base + 1, base + 2, base + 3
 
     def apply_to(self, vectors):
         """Propagate stacked column vectors (rows = variables) in place."""
@@ -155,19 +123,6 @@ class BinnedPropagation:
             raise ValueError(f"vectors must have {self.n_vars} rows")
         return kernels.bin_sweep(self.kappa_cos, self.kappa_sin, vectors)
 
-    def matrix(self):
-        """Dense map matrix (small bin counts only)."""
-        if self.bins > _DENSE_LIMIT:
-            raise ValueError(
-                f"dense matrix with {self.bins} bins refused; "
-                f"limit is {_DENSE_LIMIT}"
-            )
-        return self.apply_to(np.eye(self.n_vars))
-
-    def as_symplectic(self):
-        """Dense :class:`SymplecticMap`; construction verifies the form."""
-        return SymplecticMap(self.matrix())
-
 
 def propagate_binned(params):
     """Binned propagation of light through both cells.
@@ -176,14 +131,10 @@ def propagate_binned(params):
     atomic quadratures absorb the light p, with cosine/sine factors at
     the bin midpoint; each kick is exactly symplectic.
     """
-    light = bin_light_field(params)
-    kappa = params.coupling_per_atom * np.sqrt(
-        params.collective_spin
-    ) * light.amplitudes
-    phase = params.larmor_frequency * light.times
-    return BinnedPropagation(
-        params, light, kappa * np.cos(phase), kappa * np.sin(phase)
-    )
+    dt, amplitude = _bin_grid(params)
+    phase = params.larmor_frequency * ((np.arange(params.bins) + 0.5) * dt)
+    kappa = params.coupling_per_atom * np.sqrt(params.collective_spin) * amplitude
+    return BinnedPropagation(params, np.cos(phase), np.sin(phase), kappa)
 
 
 @dataclass(frozen=True)
@@ -248,6 +199,17 @@ class ModeCouplings:
         return max(self.spurious().values())
 
 
+def _unit_weights(propagation):
+    """Unit-norm cosine and sine mode weights; ``ValueError`` if the sine's norm is 0."""
+    sin_norm = np.linalg.norm(propagation.sin)
+    if sin_norm == 0:
+        raise ValueError(
+            f"larmor_frequency {propagation.params.larmor_frequency} precesses too "
+            "little over the pulse_duration: the sine demodulation weight has zero norm"
+        )
+    return propagation.cos / np.linalg.norm(propagation.cos), propagation.sin / sin_norm
+
+
 def demodulate(propagation):
     """Project the binned map onto the demodulation modes.
 
@@ -255,9 +217,7 @@ def demodulate(propagation):
     phase, i.e. the lock-in reference.
     """
     n = propagation.bins
-    w_cos, w_sin = propagation.light.demodulation_weights(
-        propagation.params.larmor_frequency
-    )
+    w_cos, w_sin = _unit_weights(propagation)
 
     directions = np.zeros((propagation.n_vars, 8))
     x_rows = slice(0, 2 * n, 2)
@@ -276,10 +236,11 @@ def demodulate(propagation):
 def theoretical_coupling(params):
     """Predicted single-mode coupling: sqrt(a^2 J_x (photon number) / 2).
 
-    The photon number integral uses the same bin grid as the propagation.
+    The photon number is the pairwise sum of the per-bin photon numbers of
+    the propagation's grid; ``bins * amplitude**2`` would round otherwise.
     """
-    light = bin_light_field(params)
-    photons = float(np.sum(light.amplitudes**2))
+    _, amplitude = _bin_grid(params)
+    photons = float(np.sum(np.full(params.bins, amplitude * amplitude)))
     return params.coupling_per_atom * np.sqrt(
         0.5 * params.collective_spin * photons
     )

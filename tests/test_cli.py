@@ -312,6 +312,21 @@ class TestCalibrate:
         assert not any((tmp_path / "out").iterdir())
 
     @pytest.mark.parametrize(
+        "rows",
+        ["", "0.2,0.1,0.01,10000\n0.4,0.2,0.01\n", "0.2,0.1,0.01,10000,7\n"],
+        ids=["header-only", "three-fields", "five-fields"],
+    )
+    def test_empty_or_ragged_series_csv_exit_two(self, tmp_path, capsys, rows):
+        points = tmp_path / "points.csv"
+        points.write_text("jx_proxy,normalized_noise,se,n_cycles\n" + rows)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(tmp_path, "calibrate", {"series_csv": str(points)}) == 2
+        assert not caught
+        assert "'series_csv'" in capsys.readouterr().err
+        assert not any((tmp_path / "out").iterdir())
+
+    @pytest.mark.parametrize(
         "config",
         [{"slope_per_unit": 1e160}, {"slope_per_unit": 1e308},
          {"quadratic_coeff": 1e308}],
@@ -651,9 +666,8 @@ def test_config_contract_fuzz(tmp_path, capsys):
     Each run exits 0, 2 or 3 with no exception escaping and no warning
     leaked.  Exit 2 writes nothing and names the key under test; exit 3
     prints its one-line message alone, and the message is more than
-    Python's bare arithmetic error (for store and fidelity, more than
-    numpy's "... encountered in <ufunc>"); exit 0 writes no NaN or Infinity into
-    any JSON or SVG file.
+    Python's bare arithmetic error or numpy's "... encountered in <ufunc>";
+    exit 0 writes no NaN or Infinity into any JSON or SVG file.
     """
     assert set(FUZZ_BASE) == set(cli._COMMANDS)
     cases = [
@@ -686,7 +700,7 @@ def test_config_contract_fuzz(tmp_path, capsys):
             broken.append((command, key, value, "more than one line", err))
         if code == 3 and BARE_ARITHMETIC.match(err):
             broken.append((command, key, value, "names nothing", err))
-        if code == 3 and command in ("store", "fidelity") and "encountered in" in err:
+        if code == 3 and "encountered in" in err:
             broken.append((command, key, value, "names only the ufunc", err))
         for path in written if code == 0 else ():
             if path.suffix == ".json":
@@ -711,6 +725,10 @@ def test_config_contract_fuzz(tmp_path, capsys):
     ("store", {"readout_coupling": 1e-160}, "readout_coupling"),
     ("store", {"atom_var_x": 1e308}, "atom_var_x"),
     ("store", {"atom_var_p": 1e30}, "atom_var_p"),
+    ("microscopic", {"target_coupling": 1e308}, "target_coupling"),
+    ("microscopic", {"collective_spin": 1e308}, "collective_spin"),
+    ("lifetime", {"n_max": 4300}, "n_max"),  # NaN steps in the minimiser
+    ("lifetime", {"n_max": 1e12}, "n_max"),
 ])
 def test_overflow_names_the_key(tmp_path, capsys, command, config, key):
     """An overflow exits 3 before any file is written, naming the key."""

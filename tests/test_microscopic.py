@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qmemsim.gaussian import symplectic_form
+from qmemsim.cli import MAX_TIME_BINS
+from qmemsim.gaussian import SymplecticMap, symplectic_form
 from qmemsim.microscopic import (
     ATOM_X2,
     ATOM_P2,
     SIN_P,
     SIN_X,
     PhysicalParams,
-    bin_light_field,
+    _unit_weights,
     demodulate,
     omega_t_sweep,
     pinned_phase_omega_t,
@@ -19,6 +20,11 @@ from qmemsim.microscopic import (
     theoretical_coupling,
     tuned_params,
 )
+
+
+def dense_matrix(prop):
+    """The whole binned map as a matrix: the images of the unit vectors."""
+    return prop.apply_to(np.eye(prop.n_vars))
 
 
 def small_params(**overrides):
@@ -45,10 +51,63 @@ class TestParams:
             PhysicalParams(coupling_per_atom=1e-12, photon_flux=-1.0)
 
     def test_demodulation_weights_unit_norm(self):
-        field = bin_light_field(small_params())
-        w_cos, w_sin = field.demodulation_weights(2 * np.pi * 5e3)
+        w_cos, w_sin = _unit_weights(propagate_binned(small_params()))
         assert np.sum(w_cos**2) == pytest.approx(1.0, rel=1e-12)
         assert np.sum(w_sin**2) == pytest.approx(1.0, rel=1e-12)
+
+
+def reference_grid(params):
+    """The bin grid as a light field of bin times and per-bin amplitudes,
+    the form the package once kept: the oracle of the grid's bytes."""
+    dt = params.pulse_duration / params.bins
+    times = (np.arange(params.bins) + 0.5) * dt
+    amplitudes = np.full(times.shape, np.sqrt(params.photon_flux * dt))
+    kappa = params.coupling_per_atom * np.sqrt(params.collective_spin) * amplitudes
+    phase = params.larmor_frequency * times
+    cos, sin = np.cos(phase), np.sin(phase)
+    photons = float(np.sum(amplitudes**2))
+    return {
+        "kappa_cos": kappa * np.cos(phase),
+        "kappa_sin": kappa * np.sin(phase),
+        "w_cos": cos / np.linalg.norm(cos),
+        "w_sin": sin / np.linalg.norm(sin),
+        "coupling": params.coupling_per_atom * np.sqrt(
+            0.5 * params.collective_spin * photons
+        ),
+    }
+
+
+def seeded_grids(count=24):
+    """The grid at the CLI's cap on bins, then random valid grids."""
+    rng = np.random.default_rng(15)
+    grids = [tuned_params(1.0, bins=MAX_TIME_BINS)]
+    for _ in range(count):
+        pulse_duration = 10 ** rng.uniform(-5, -1)
+        cycles = 10 ** rng.uniform(-1, 3)  # precession cycles over the pulse
+        fewest = max(10, int(cycles / 0.1) + 1)
+        grids.append(tuned_params(
+            10 ** rng.uniform(-2, 1),
+            bins=int(rng.integers(fewest, min(MAX_TIME_BINS, 40 * fewest))),
+            larmor_frequency=2 * np.pi * cycles / pulse_duration,
+            pulse_duration=pulse_duration,
+            collective_spin=10 ** rng.uniform(6, 14),
+            photon_flux=10 ** rng.uniform(10, 18),
+        ))
+    return grids
+
+
+def test_grid_matches_the_light_field_reference_bytes():
+    mismatches = []
+    for n, params in enumerate(seeded_grids()):
+        prop = propagate_binned(params)
+        w_cos, w_sin = _unit_weights(prop)
+        got = {"kappa_cos": prop.kappa_cos, "kappa_sin": prop.kappa_sin,
+               "w_cos": w_cos, "w_sin": w_sin,
+               "coupling": theoretical_coupling(params)}
+        for name, expected in reference_grid(params).items():
+            if np.asarray(got[name]).tobytes() != np.asarray(expected).tobytes():
+                mismatches.append((n, params.bins, name))
+    assert not mismatches
 
 
 class TestTheoreticalCoupling:
@@ -80,14 +139,14 @@ class TestPropagation:
 
         params = replace(small_params(), coupling_per_atom=0.0)
         prop = propagate_binned(params)
-        assert_allclose(prop.matrix(), np.eye(prop.n_vars))
+        assert_allclose(dense_matrix(prop), np.eye(prop.n_vars))
 
     def test_zero_spin_leaves_light_unchanged(self):
         from dataclasses import replace
 
         params = replace(small_params(), collective_spin=0.0)
         prop = propagate_binned(params)
-        assert_allclose(prop.matrix(), np.eye(prop.n_vars))
+        assert_allclose(dense_matrix(prop), np.eye(prop.n_vars))
 
     @pytest.mark.parametrize(
         "bins,frequency",
@@ -96,7 +155,7 @@ class TestPropagation:
     def test_composite_map_is_symplectic(self, bins, frequency):
         params = small_params(bins=bins, larmor_frequency=frequency)
         prop = propagate_binned(params)
-        smap = prop.as_symplectic()  # construction enforces the form
+        smap = SymplecticMap(dense_matrix(prop))  # construction enforces the form
         omega = symplectic_form(prop.n_vars // 2)
         defect = np.abs(
             smap.matrix.T @ omega @ smap.matrix - omega
@@ -125,8 +184,9 @@ class TestPropagation:
 
     def test_two_cell_sums_and_light_p_conserved(self):
         prop = propagate_binned(small_params())
-        m = prop.matrix()
-        xa, pa, xb, pb = prop.atom_rows()
+        m = dense_matrix(prop)
+        base = 2 * prop.bins  # the atomic rows X_A, P_A, X_B, P_B follow the light
+        pa, xb = base + 1, base + 2
         eye = np.eye(prop.n_vars)
         assert_allclose(m[pa], eye[pa], atol=1e-10)  # (J_z1 + J_z2) sum
         assert_allclose(m[xb], eye[xb], atol=1e-10)  # (J_y1 + J_y2) sum
@@ -137,11 +197,6 @@ class TestPropagation:
         prop = propagate_binned(small_params())
         with pytest.raises(ValueError, match="rows"):
             prop.apply_to(np.zeros((3, 2)))
-
-    def test_dense_matrix_refused_at_large_bins(self):
-        prop = propagate_binned(tuned_params(1.0, bins=10_000))
-        with pytest.raises(ValueError, match="refused"):
-            prop.matrix()
 
 
 class TestDemodulation:

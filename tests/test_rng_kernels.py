@@ -76,7 +76,7 @@ class TestKernelBackends:
             (10_000, 1),  # one column: numpy would sum a reduce pairwise
             (40_000, 8),  # several blocks
             (3 * (kernels._BLOCK_CELLS // 8) + 17, 8),  # last block partial
-            (1200, 2404),  # the dense matrix() path
+            (1200, 2404),  # every unit vector of a 1200-bin map
         ],
     )
     def test_bin_sweep_matches_loop_bit_for_bit(self, bins, columns):
