@@ -47,9 +47,11 @@ ALL_FORMATS = ("csv", "json", "svg")
 #: longest lifetime curve, in time points (t_max_ms / t_step_ms)
 MAX_CURVE_POINTS = 100_000
 # Caps on the count keys: the largest accepted run stays well under 1 GiB
-# peak RSS (about 80 MiB for store, 165 MiB for calibrate and 147 MiB for
-# its re-fit from that run's series_csv, 334 MiB for microscopic and
-# 55 MiB for lifetime at MAX_CURVE_POINTS).
+# peak RSS.  ci/caps.py runs each subcommand at its caps and checks its
+# peak: about 124 MiB for store (with histogram_bins at its cap too),
+# 165 MiB for calibrate and 147 MiB for its re-fit from that run's
+# series_csv, 334 MiB for microscopic and 52 MiB for lifetime at
+# MAX_CURVE_POINTS.
 MAX_TRIALS = 1_000_000  # per verification arm
 MAX_HISTOGRAM_BINS = 100_000
 MAX_JX_POINTS = 1_000_000
@@ -482,9 +484,8 @@ LIFETIME_FIELDS = {
 }
 
 
-def compute_lifetime(cfg):
-    cset = CoherentSet(cfg["n_min"], cfg["n_max"])
-    params = _storage_params(cfg)
+def _curve_times(cfg):
+    """The lifetime curve's time points in s, at most ``MAX_CURVE_POINTS``."""
     stop = cfg["t_max_ms"] * 1e-3 + 1e-12
     step = cfg["t_step_ms"] * 1e-3
     # np.arange gives ceil(stop / step) points; count them before allocating
@@ -493,6 +494,13 @@ def compute_lifetime(cfg):
             f"bad value for 't_step_ms': {cfg['t_step_ms']} ms up to t_max_ms "
             f"{cfg['t_max_ms']} ms gives more than {MAX_CURVE_POINTS} time points"
         )
+    return np.arange(0.0, stop, step)
+
+
+def compute_lifetime(cfg):
+    cset = CoherentSet(cfg["n_min"], cfg["n_max"])
+    params = _storage_params(cfg)
+    times = _curve_times(cfg)
     # before calibrate_tau, whose own finiteness check names no key
     _, f_class = _classical_optimum(cset)
     try:
@@ -504,7 +512,6 @@ def compute_lifetime(cfg):
         )
     except ValueError as exc:
         raise ValueError(f"bad value for 'crossing_ms': {exc}")
-    times = np.arange(0.0, stop, step)
     fids = decoherence.fidelity_vs_time(cset, params, decay, times)
     crossing = decoherence.crossing_time(times, fids, f_class)
     return {
@@ -545,14 +552,15 @@ def _build_parser():
         description="Measurement-feedback quantum-memory simulation runner",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (fields, _) in _COMMANDS.items():
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", type=Path, default=None,
                          help="JSON config file")
         cmd.add_argument("--out", type=Path, default=Path("."),
                          help="output directory")
-        cmd.add_argument("--seed", type=int, default=None,
-                         help="override the config seed")
+        if "seed" in fields:
+            cmd.add_argument("--seed", type=int, default=None,
+                             help="override the config seed")
         cmd.add_argument(
             "--format",
             action="append",
@@ -590,7 +598,7 @@ def _run(args):
                 raise ConfigError(f"config is not valid JSON: {exc}")
             if not isinstance(config, dict):
                 raise ConfigError("config must be a JSON object")
-        if args.seed is not None and "seed" in fields:
+        if getattr(args, "seed", None) is not None:  # store and calibrate
             config["seed"] = args.seed
         args.out.mkdir(parents=True, exist_ok=True)
         cfg = _resolve(args.command, config, fields)

@@ -491,6 +491,15 @@ def test_byte_identical_rerun(tmp_path, command):
     assert first == second
 
 
+@pytest.mark.parametrize("command", ["fidelity", "microscopic", "lifetime"])
+def test_seed_flag_only_where_there_is_a_seed(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, command, extra=["--seed", "5"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_failed_write_removes_earlier_outputs(tmp_path, monkeypatch, capsys):
     def compute(cfg):
         return {
