@@ -1,6 +1,6 @@
 """Every subcommand at its count caps and at its defaults, under a timeout
-and a peak-RSS ceiling: ``python3 ci/caps.py`` prints one line per check and
-exits 1 if any fails.
+and a peak-RSS ceiling, with nothing on stderr: ``python3 ci/caps.py`` prints
+one line per check and exits 1 if any fails.
 
 Each row runs in a fresh interpreter, and its peak RSS comes from
 ``os.wait4``.  That figure includes the resident set of the process that
@@ -36,12 +36,19 @@ SAME_BYTES = ("calibrate-caps/calibration_fit.json", "calibrate-refit/calibratio
 
 
 def run_row(name, command, config, timeout, ceiling, workdir):
-    """Run one row in ``workdir``, writing to ``workdir/name``; its report line and pass."""
+    """Run one row in ``workdir``, writing to ``workdir/name``; its report line and pass.
+
+    A row passes if it exits 0 with an empty stderr, under its ceiling and
+    its timeout; the line quotes the first line of a nonempty stderr.
+    """
     (Path(workdir) / f"{name}.json").write_text(json.dumps(config))
     argv = [sys.executable, "-m", "qmemsim.cli", command, "--config", f"{name}.json", "--out", name]
+    err_path = Path(workdir) / f"{name}.stderr"
     start = time.perf_counter()
-    proc = subprocess.Popen(argv, cwd=workdir, env={**os.environ, "PYTHONPATH": str(SRC)},
-                            stdout=subprocess.DEVNULL)
+    # to a file, not a pipe: a full pipe would block the child while wait4 waits
+    with open(err_path, "w") as err:
+        proc = subprocess.Popen(argv, cwd=workdir, env={**os.environ, "PYTHONPATH": str(SRC)},
+                                stdout=subprocess.DEVNULL, stderr=err)
     timer = threading.Timer(timeout, proc.kill)
     timer.start()
     try:
@@ -50,9 +57,11 @@ def run_row(name, command, config, timeout, ceiling, workdir):
         timer.cancel()
     seconds, peak = time.perf_counter() - start, usage.ru_maxrss / 1024
     code = proc.returncode = os.waitstatus_to_exitcode(status)
-    ok = code == 0 and peak < ceiling and seconds < timeout
+    stderr = err_path.read_text(errors="replace").splitlines()
+    ok = code == 0 and not stderr and peak < ceiling and seconds < timeout
+    quoted = f"  stderr: {stderr[0]!r}" if stderr else ""
     return (f"{name:<20} exit {code:>3}  {peak:6.1f} MiB < {ceiling:<3}  "
-            f"{seconds:5.1f} s < {timeout}  {'ok' if ok else 'FAIL'}"), ok
+            f"{seconds:5.1f} s < {timeout}{quoted}  {'ok' if ok else 'FAIL'}"), ok
 
 
 def main():

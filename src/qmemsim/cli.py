@@ -29,6 +29,7 @@ import functools
 import itertools
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -195,14 +196,22 @@ def compute_store(cfg):
     hists = {}
     for arm, trials in series.items():
         ref_mean, ref_sd = montecarlo.ideal_reference(params, arm, input_mean)
-        hists[arm] = montecarlo.make_histogram(
-            trials, bins=cfg["histogram_bins"], scale=montecarlo.ARM_SIGN[arm] / k_r,
-            ref_mean=ref_mean, ref_sd=ref_sd,
-        )
+        try:
+            hists[arm] = montecarlo.make_histogram(
+                trials, bins=cfg["histogram_bins"], scale=montecarlo.ARM_SIGN[arm] / k_r,
+                ref_mean=ref_mean, ref_sd=ref_sd,
+            )
+        except FloatingPointError as exc:  # a range too narrow for its magnitude
+            raise FloatingPointError(
+                f"bad value for 'input_x', 'input_p', 'histogram_bins', {storage_keys}: {exc}"
+            )
     try:
-        recon = montecarlo.estimate_channel(
-            series[montecarlo.ARM_P], series[montecarlo.ARM_X], k_r
-        )
+        with warnings.catch_warnings():
+            # a negative variance is written to reconstructed.json as it is
+            warnings.filterwarnings("ignore", "reconstructed variance", UserWarning)
+            recon = montecarlo.estimate_channel(
+                series[montecarlo.ARM_P], series[montecarlo.ARM_X], k_r
+            )
     except FloatingPointError:
         raise FloatingPointError(
             "the moments of the outcomes overflow: bad value for 'input_x', "
@@ -362,7 +371,9 @@ def compute_calibrate(cfg):
             series = calibration.read_points_csv(cfg["series_csv"])
         except (OSError, ValueError, OverflowError) as exc:  # n_cycles past int64
             raise ValueError(f"bad value for 'series_csv': {exc}")
+        source_keys = "'series_csv'"
     else:
+        source_keys = "'slope_per_unit', 'quadratic_coeff', 'jx_min' or 'jx_max'"
         jx = np.linspace(cfg["jx_min"], cfg["jx_max"], cfg["jx_points"])
         try:
             series = calibration.synthesize_series(
@@ -374,8 +385,12 @@ def compute_calibrate(cfg):
                 "bad value for 'slope_per_unit' or 'quadratic_coeff': the noise "
                 f"variance ratio 1 + slope jx + quadratic jx^2 is not positive ({exc})"
             )
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"bad value for {source_keys}: {exc}")
     try:
         fit = calibration.fit_pnl(series, cfg["fit_jx_max"])
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"bad value for {source_keys}: {exc}")
     except ValueError as exc:  # too few points, or only jx = 0, under the cut
         if cfg["fit_jx_max"] is not None:
             keys = "'fit_jx_max'"
@@ -512,6 +527,13 @@ def compute_lifetime(cfg):
         )
     except ValueError as exc:
         raise ValueError(f"bad value for 'crossing_ms': {exc}")
+    except OverflowError as exc:  # the stored variances square coupling and gain
+        raise OverflowError(f"bad value for 'coupling' or 'gain': {exc}")
+    except RuntimeError as exc:  # the fidelity at crossing_ms stays below the benchmark
+        raise RuntimeError(
+            "bad value for 'coupling', 'gain', 'atom_var_x', 'atom_var_p', "
+            f"'excess_noise_rate' or 'crossing_ms': {exc}"
+        )
     fids = decoherence.fidelity_vs_time(cset, params, decay, times)
     crossing = decoherence.crossing_time(times, fids, f_class)
     return {

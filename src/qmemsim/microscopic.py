@@ -80,7 +80,7 @@ class PhysicalParams:
         if phase_per_bin >= 0.1:
             raise ValueError(
                 "bins too coarse: larmor_frequency * pulse_duration / (2 pi "
-                f"bins) = {phase_per_bin:.3f} cycles per bin (need < 0.1)"
+                f"bins) = {phase_per_bin:.3g} cycles per bin (need < 0.1)"
             )
 
 

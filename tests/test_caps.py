@@ -1,6 +1,6 @@
 """The cap table of ``ci/caps.py``: its rows sit at ``qmemsim.cli``'s caps,
 the script stays free of numpy and qmemsim, and a row fails on a high peak,
-a nonzero exit or a timeout."""
+a nonzero exit, output on stderr or a timeout."""
 
 import importlib.util
 import json
@@ -22,8 +22,9 @@ def config(row):
     return caps.ROWS[row][1]
 
 
-def in_fresh_interpreter(code):
-    """The JSON that ``code`` prints after loading the script as ``caps``.
+def in_fresh_interpreter(code, env=None):
+    """The JSON that ``code`` prints after loading the script as ``caps``,
+    with the variables ``env`` added to a bare environment.
 
     A child's peak RSS includes its parent's, so a row run from this test
     session would read the session's peak; a bare interpreter reads what
@@ -35,14 +36,16 @@ def in_fresh_interpreter(code):
         "caps = importlib.util.module_from_spec(spec)\n"
         "spec.loader.exec_module(caps)\n"
     )
+    env = {"PATH": "", "PYTHONPATH": str(caps.SRC), **(env or {})}
     proc = subprocess.run([sys.executable, "-c", load + code], capture_output=True,
-                          text=True, timeout=60, env={"PATH": "", "PYTHONPATH": str(caps.SRC)})
+                          text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
 
-def run_row(*row, workdir):
-    return in_fresh_interpreter(f"print(json.dumps(caps.run_row(*{row!r}, {str(workdir)!r})))")
+def run_row(*row, workdir, env=None):
+    return in_fresh_interpreter(f"print(json.dumps(caps.run_row(*{row!r}, {str(workdir)!r})))",
+                                env)
 
 
 def test_cap_rows_use_the_cli_caps():
@@ -92,4 +95,13 @@ def test_default_row_passes(tmp_path):
 def test_failing_row_fails(tmp_path, row_config, timeout, ceiling):
     line, ok = run_row("fidelity", "fidelity", row_config, timeout, ceiling, workdir=tmp_path)
     assert not ok
+    assert line.endswith("FAIL")
+
+
+def test_row_that_writes_to_stderr_fails(tmp_path):
+    # the interpreter's import-time report goes to stderr of a run that exits 0
+    line, ok = run_row("fidelity", "fidelity", {}, 60, 64, workdir=tmp_path,
+                       env={"PYTHONPROFILEIMPORTTIME": "1"})
+    assert not ok
+    assert " exit   0 " in line and "stderr: 'import time:" in line
     assert line.endswith("FAIL")

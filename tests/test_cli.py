@@ -93,6 +93,16 @@ class TestStore:
         assert recon["mean_x"] == pytest.approx(-4.0, abs=5 * recon["se_mean_x"])
         assert report["gains"]["gain_x"] == pytest.approx(1.0, abs=0.05)
 
+    @pytest.mark.parametrize("seed", [0, 2, 3])
+    def test_negative_variance_exits_zero_silently(self, tmp_path, seed):
+        # at readout_coupling 0.01 a reconstructed variance is often below 0;
+        # reconstructed.json reports it, and stderr stays empty
+        config = {"input_x": 0, "input_p": 0, "readout_coupling": 0.01,
+                  "n_trials": 100, "seed": seed}
+        assert run_subprocess(tmp_path, "store", config) == (0, "")
+        recon = json.loads((tmp_path / "out" / "reconstructed.json").read_text())
+        assert min(recon["reconstructed"]["var_x"], recon["reconstructed"]["var_p"]) < 0
+
     def test_seed_flag_overrides_config(self, tmp_path):
         assert run(tmp_path, "store", STORE_CONFIG) == 0
         base = digest(tmp_path / "out" / "trials.csv")
@@ -738,9 +748,18 @@ def test_config_contract_fuzz(tmp_path, capsys):
     ("microscopic", {"collective_spin": 1e308}, "collective_spin"),
     ("lifetime", {"n_max": 4300}, "n_max"),  # NaN steps in the minimiser
     ("lifetime", {"n_max": 1e12}, "n_max"),
+    # the channel never beats the classical benchmark
+    ("lifetime", {"gain": -1}, "gain"),
+    ("lifetime", {"coupling": 50}, "coupling"),
+    ("lifetime", {"crossing_ms": 1e9}, "crossing_ms"),
+    ("lifetime", {"coupling": 1e200}, "coupling"),  # the stored variance overflows
+    ("calibrate", {"jx_max": 1e300}, "jx_max"),
+    ("calibrate", {"quadratic_coeff": 1e300}, "quadratic_coeff"),
+    ("store", {"input_x": 1e200, "input_p": 0}, "input_x"),  # too narrow to bin
 ])
 def test_overflow_names_the_key(tmp_path, capsys, command, config, key):
-    """An overflow exits 3 before any file is written, naming the key."""
+    """An overflow, or another numerical failure that a config value
+    causes, exits 3 before any file is written, naming the key."""
     assert run(tmp_path, command, {**FUZZ_BASE[command], **config}) == 3
     err = capsys.readouterr().err
     assert f"'{key}'" in err and "encountered in" not in err

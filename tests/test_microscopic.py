@@ -46,6 +46,11 @@ class TestParams:
             PhysicalParams(coupling_per_atom=1e-12, bins=5,
                            larmor_frequency=1.0)
 
+    def test_coarse_bins_message_has_three_digits(self):
+        with pytest.raises(ValueError, match=r"= 3\.22e\+301 cycles per bin"):
+            PhysicalParams(coupling_per_atom=1e-12, larmor_frequency=2 * np.pi * 322e3,
+                           pulse_duration=1e300)
+
     def test_negative_flux_rejected(self):
         with pytest.raises(ValueError, match="photon_flux"):
             PhysicalParams(coupling_per_atom=1e-12, photon_flux=-1.0)

@@ -1,6 +1,5 @@
-"""Physics fuzz: seeded random valid configs of ``fidelity``, ``lifetime``
-and ``microscopic``, computed in-process, and the invariants that every
-exit-0 output keeps.
+"""Physics fuzz: seeded random valid configs of every subcommand, computed
+in-process, and the invariants that every exit-0 output keeps.
 
 The contract fuzz in test_cli.py checks exit codes and messages; this one
 checks the numbers of the runs that succeed, so an output whose bytes
@@ -16,7 +15,7 @@ import pytest
 
 from qmemsim import cli
 from qmemsim.fidelity import CoherentSet
-from qmemsim.protocol import ChannelSummary
+from qmemsim.protocol import ChannelSummary, store_channel
 from test_fidelity import average_fidelity_grid
 
 #: a configured channel's fidelity agrees with the 2-d grid oracle this closely
@@ -30,6 +29,13 @@ REL_DEV_ENVELOPE = 0.27
 #: to 1/(Omega T) at any k, so the constant is about 1/k at the smallest k,
 #: 0.1: 9.7 over the same rows
 SPURIOUS_ENVELOPE = 10.5
+#: the reconstructed store moments and the fitted calibrate slope lie within
+#: PULL_BOUND standard errors of the truth.  A correct output breaks this with
+#: a chance of about 2e-3 over the 200 store runs (four moments each) and the
+#: 500 fits drawn below: past 5 se lie 6.2e-7 of a mean's t pulls and 3.1e-6
+#: of a variance's chi-squared pulls at 2000 trials, and at 10^4 cycles or more
+#: and at most 200 points the fit's slope bias stays under 0.05 se
+PULL_BOUND = 5.0
 CHANNEL_KEYS = ("gain_x", "gain_p", "var_x", "var_p")
 
 
@@ -128,11 +134,72 @@ def microscopic_violations(config, outputs):
     return broken
 
 
+def store_config(rnd):
+    atom_var_x = rnd.uniform(0.25, 3.0)
+    return {
+        "input_x": rnd.uniform(-10.0, 10.0),
+        "input_p": rnd.uniform(-10.0, 10.0),
+        "n_trials": rnd.randrange(2000, 20_001),
+        "seed": rnd.randrange(2**32),
+        "histogram_bins": rnd.randrange(5, 201),
+        "coupling": rnd.uniform(0.3, 1.5),
+        "gain": rnd.uniform(0.3, 1.5),
+        "readout_coupling": rnd.uniform(0.3, 2.0),
+        "atom_var_x": atom_var_x,
+        "atom_var_p": rnd.uniform(0.25 / atom_var_x, 3.0),
+    }
+
+
+def _reconstructed(outputs):
+    return outputs["reconstructed.json"]["reconstructed"]
+
+
+def store_violations(config, outputs):
+    report = _reconstructed(outputs)
+    channel = store_channel(cli._storage_params(config))
+    # the stored means are (k p_in, -g x_in); the closed-form variances
+    truth = {
+        "mean_x": config["coupling"] * config["input_p"],
+        "mean_p": -config["gain"] * config["input_x"],
+        "var_x": channel.var_x,
+        "var_p": channel.var_p,
+    }
+    broken = []
+    for key, value in truth.items():
+        pull = (report[key] - value) / report[f"se_{key}"]
+        if not abs(pull) < PULL_BOUND:
+            broken.append(f"{key} {report[key]} is {pull:.2f} se from {value}")
+    return broken
+
+
+def calibrate_config(rnd):
+    jx_min = rnd.uniform(0.0, 0.5)
+    return {
+        "slope_per_unit": rnd.uniform(0.05, 2.0),
+        "quadratic_coeff": 0.0,
+        "jx_min": jx_min,
+        "jx_max": rnd.uniform(jx_min + 0.5, 5.0),
+        "jx_points": rnd.randrange(10, 201),
+        "n_cycles": rnd.randrange(10**4, 10**6 + 1),
+        "seed": rnd.randrange(2**32),
+    }
+
+
+def calibrate_violations(config, outputs):
+    fit = outputs["calibration_fit.json"]
+    pull = (fit["slope"] - config["slope_per_unit"]) / fit["slope_se"]
+    if not abs(pull) < PULL_BOUND:
+        return [f"slope {fit['slope']} is {pull:.2f} se from {config['slope_per_unit']}"]
+    return []
+
+
 #: command -> (config maker, invariant check, configs drawn, least that exit 0)
 FUZZ = {
     "fidelity": (fidelity_config, fidelity_violations, 100, 100),
     "lifetime": (lifetime_config, lifetime_violations, 300, 60),
     "microscopic": (microscopic_config, microscopic_violations, 100, 100),
+    "store": (store_config, store_violations, 200, 200),
+    "calibrate": (calibrate_config, calibrate_violations, 500, 500),
 }
 
 
@@ -165,6 +232,8 @@ def _set(path, value):
 FIDELITY_CHANNEL = {"gain_x": 0.9, "gain_p": 0.8, "var_x": 1.0, "var_p": 0.7}
 MICROSCOPIC_SMALL = {"bins": 4096, "sweep_bins": 1024}
 DEFAULT_OMEGA_T = 2 * np.pi * 322e3 * 1e-3
+#: stored means (-2, -1) and variances (1, 0.5) at the default channel
+STORE_SMALL = {"input_x": 1.0, "input_p": -2.0, "n_trials": 2000}
 
 
 @pytest.mark.parametrize(
@@ -184,13 +253,23 @@ DEFAULT_OMEGA_T = 2 * np.pi * 322e3 * 1e-3
               lambda out: 1.0 + 0.3 / DEFAULT_OMEGA_T)),  # target_coupling 1 by default
         ("microscopic", MICROSCOPIC_SMALL,
          _set(("microscopic.json", "spurious", "pair_mixing"), lambda out: 11.0 / DEFAULT_OMEGA_T)),
+        ("store", STORE_SMALL,
+         _set(("reconstructed.json", "reconstructed", "mean_p"),
+              lambda out: -1.0 + 5.1 * _reconstructed(out)["se_mean_p"])),
+        ("store", STORE_SMALL,
+         _set(("reconstructed.json", "reconstructed", "var_x"),
+              lambda out: 1.0 - 5.1 * _reconstructed(out)["se_var_x"])),
+        ("calibrate", {},  # slope_per_unit 0.5 by default
+         _set(("calibration_fit.json", "slope"),
+              lambda out: 0.5 + 5.1 * out["calibration_fit.json"]["slope_se"])),
     ],
     ids=["fidelity-range", "fidelity-oracle", "lifetime-crossing", "lifetime-rise",
-         "microscopic-coupling", "microscopic-spurious"],
+         "microscopic-coupling", "microscopic-spurious", "store-mean", "store-variance",
+         "calibrate-slope"],
 )
 def test_checks_fire_on_a_perturbed_output(command, config, perturb):
-    config = cli._resolve(command, config, cli._COMMANDS[command][0])
     outputs = compute(command, config)
+    config = cli._resolve(command, config, cli._COMMANDS[command][0])
     violations = FUZZ[command][1]
     assert violations(config, outputs) == []
     perturb(outputs)
