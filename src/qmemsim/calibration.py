@@ -82,7 +82,8 @@ def synthesize_series(slope, quadratic_coeff, jx_values, n_cycles, seed):
     ``slope * jx + quadratic_coeff * jx**2``.  Each point estimates the
     output and input (shot) noise variances from ``n_cycles`` pseudo
     trials, so both sample variances carry exact chi-squared statistics.
-    Raises ``FloatingPointError`` if a synthesised value is not finite.
+    Raises ``FloatingPointError`` if a synthesised value is not finite and
+    ``ValueError`` if ``1 + truth`` is not positive at some ``jx``.
     """
     jx = np.asarray(jx_values, dtype=float)
     nu = n_cycles - 1
@@ -95,6 +96,10 @@ def synthesize_series(slope, quadratic_coeff, jx_values, n_cycles, seed):
         noise, se = ratio - 1.0, ratio * 2.0 / np.sqrt(nu)
     if not (np.isfinite(noise).all() and np.isfinite(se).all()):
         raise FloatingPointError("synthesised noise or its error is not finite")
+    if not (se > 0).all():
+        raise ValueError(
+            "the noise variance ratio 1 + slope jx + quadratic jx^2 is not positive"
+        )
     return CalibrationSeries(jx, noise, se, np.full(jx.size, n_cycles))
 
 

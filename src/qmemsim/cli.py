@@ -25,6 +25,7 @@ writes them, choosing the writer from the file suffix (``_WRITERS``).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -64,6 +65,27 @@ _NUMERICAL = (RuntimeError, ArithmeticError, np.linalg.LinAlgError)
 
 class ConfigError(Exception):
     pass
+
+
+@contextlib.contextmanager
+def _bad_value(*keys, what="a value over- or underflows"):
+    """Name the config ``keys`` in any failure raised inside the block.
+
+    ``ValueError`` and ``OSError`` leave as ``ValueError`` (exit 2), a
+    numerical failure (``_NUMERICAL``) as ``FloatingPointError`` (exit 3);
+    both read "bad value for 'a', 'b' or 'c': " and the library's message.
+    numpy's errstate message names only the ufunc ("overflow encountered
+    in matmul"), so ``what`` stands in for it.
+    """
+    *rest, last = map(repr, keys)
+    names = f"{', '.join(rest)} or {last}" if rest else last
+    try:
+        yield
+    except _NUMERICAL as exc:
+        detail = what if "encountered in" in str(exc) else exc
+        raise FloatingPointError(f"bad value for {names}: {detail}") from exc
+    except (ValueError, OSError) as exc:
+        raise ValueError(f"bad value for {names}: {exc}") from exc
 
 
 def _write_table(path, table):
@@ -183,39 +205,27 @@ def compute_store(cfg):
     input_mean = (cfg["input_x"], cfg["input_p"])
     params = _storage_params(cfg)
     k_r = params.readout_coupling
-    # numpy's overflow messages name only the ufunc
-    storage_keys = "'coupling', 'gain', 'readout_coupling', 'atom_var_x' or 'atom_var_p'"
-    try:
+    keys = ("input_x", "input_p", *_STORAGE_FIELDS)
+    with _bad_value(*keys, what="the storage channel overflows"):
         series = {
             arm: montecarlo.run_series(input_mean, params, arm, cfg["n_trials"],
                                        cfg["seed"])
             for arm in (montecarlo.ARM_P, montecarlo.ARM_X)
         }
-    except FloatingPointError:
-        raise FloatingPointError(f"the storage channel overflows: bad value for {storage_keys}")
     hists = {}
-    for arm, trials in series.items():
-        ref_mean, ref_sd = montecarlo.ideal_reference(params, arm, input_mean)
-        try:
+    with _bad_value(*keys, "histogram_bins"):
+        for arm, trials in series.items():
+            ref_mean, ref_sd = montecarlo.ideal_reference(params, arm, input_mean)
             hists[arm] = montecarlo.make_histogram(
                 trials, bins=cfg["histogram_bins"], scale=montecarlo.ARM_SIGN[arm] / k_r,
                 ref_mean=ref_mean, ref_sd=ref_sd,
             )
-        except FloatingPointError as exc:  # a range too narrow for its magnitude
-            raise FloatingPointError(
-                f"bad value for 'input_x', 'input_p', 'histogram_bins', {storage_keys}: {exc}"
-            )
-    try:
-        with warnings.catch_warnings():
-            # a negative variance is written to reconstructed.json as it is
-            warnings.filterwarnings("ignore", "reconstructed variance", UserWarning)
-            recon = montecarlo.estimate_channel(
-                series[montecarlo.ARM_P], series[montecarlo.ARM_X], k_r
-            )
-    except FloatingPointError:
-        raise FloatingPointError(
-            "the moments of the outcomes overflow: bad value for 'input_x', "
-            f"'input_p', {storage_keys}"
+    with (_bad_value(*keys, what="the moments of the outcomes overflow"),
+          warnings.catch_warnings()):
+        # a negative variance is written to reconstructed.json as it is
+        warnings.filterwarnings("ignore", "reconstructed variance", UserWarning)
+        recon = montecarlo.estimate_channel(
+            series[montecarlo.ARM_P], series[montecarlo.ARM_X], k_r
         )
 
     x_in, p_in = input_mean
@@ -267,20 +277,6 @@ def compute_store(cfg):
     }
 
 
-def _classical_optimum(cset):
-    """``optimize_classical_gain`` over the set, checked to be finite."""
-    try:
-        g_opt, f_max = optimize_classical_gain(cset.n_min, cset.n_max)
-        if not np.isfinite(f_max):
-            raise FloatingPointError
-    except FloatingPointError:  # the closed form overflows for a large set
-        raise FloatingPointError(
-            f"the classical optimum over photon numbers [{cset.n_min}, "
-            f"{cset.n_max}] is not finite: bad value for 'n_max'"
-        )
-    return g_opt, f_max
-
-
 FIDELITY_FIELDS = {
     "n_min": (float, 0.0),
     "n_max": (float, 8.0),
@@ -293,31 +289,30 @@ FIDELITY_FIELDS = {
 
 
 def compute_fidelity(cfg):
-    channel_keys = [cfg[k] for k in ("gain_x", "gain_p", "var_x", "var_p")]
-    configured = all(v is not None for v in channel_keys)
-    if not configured and any(v is not None for v in channel_keys):
+    channel_keys = ("gain_x", "gain_p", "var_x", "var_p")
+    channel_values = [cfg[k] for k in channel_keys]
+    configured = all(v is not None for v in channel_values)
+    if not configured and any(v is not None for v in channel_values):
         raise ValueError("provide all of gain_x, gain_p, var_x, var_p or none")
-    cset = CoherentSet(cfg["n_min"], cfg["n_max"])
-    tol = cfg["quad_tol"]
-    channel = ChannelSummary(*channel_keys) if configured else None
-
-    ideal = ChannelSummary(1.0, 1.0, 1.0, 0.5)
-    try:
-        f_ideal = average_fidelity(cset, ideal, tol)
-    except FloatingPointError:  # numpy's message names only the ufunc
-        raise FloatingPointError(
-            f"the fidelity quadrature over photon numbers [{cset.n_min}, "
-            f"{cset.n_max}] overflows: bad value for 'n_max'"
-        )
-    channel_rows = [("ideal_css_protocol", 1.0, 1.0, 1.0, 0.5, f_ideal)]
-    if configured:
-        channel_rows.append(
-            ("configured_channel", *channel_keys, average_fidelity(cset, channel, tol))
-        )
-    g_opt, f_max = _classical_optimum(cset)
+    n_min, n_max, tol = cfg["n_min"], cfg["n_max"], cfg["quad_tol"]
+    with _bad_value(
+        "n_min", "n_max", *(channel_keys if configured else ()), "quad_tol",
+        what=f"the fidelity quadrature over photon numbers [{n_min}, {n_max}] overflows",
+    ):
+        cset = CoherentSet(n_min, n_max)
+        ideal = ChannelSummary(1.0, 1.0, 1.0, 0.5)
+        channel_rows = [
+            ("ideal_css_protocol", 1.0, 1.0, 1.0, 0.5, average_fidelity(cset, ideal, tol))
+        ]
+        if configured:
+            channel = ChannelSummary(*channel_values)
+            channel_rows.append(
+                ("configured_channel", *channel_values, average_fidelity(cset, channel, tol))
+            )
+        g_opt, f_max = optimize_classical_gain(n_min, n_max)
     classical = {
         "classical_optimum": f_max,
-        "classical_unit_gain": classical_fidelity(1.0, cset.n_min, cset.n_max),
+        "classical_unit_gain": classical_fidelity(1.0, n_min, n_max),
     }
     labels, *channel_columns = zip(*channel_rows)
     fidelities = {**dict(zip(labels, channel_columns[-1])), **classical}
@@ -367,38 +362,22 @@ CALIBRATE_FIELDS = {
 
 def compute_calibrate(cfg):
     if cfg["series_csv"] is not None:
-        try:
+        source = ("series_csv",)
+        with _bad_value(*source):
             series = calibration.read_points_csv(cfg["series_csv"])
-        except (OSError, ValueError, OverflowError) as exc:  # n_cycles past int64
-            raise ValueError(f"bad value for 'series_csv': {exc}")
-        source_keys = "'series_csv'"
     else:
-        source_keys = "'slope_per_unit', 'quadratic_coeff', 'jx_min' or 'jx_max'"
-        jx = np.linspace(cfg["jx_min"], cfg["jx_max"], cfg["jx_points"])
-        try:
+        source = ("slope_per_unit", "quadratic_coeff", "jx_min", "jx_max", "jx_points",
+                  "n_cycles")
+        with _bad_value(*source):
+            jx = np.linspace(cfg["jx_min"], cfg["jx_max"], cfg["jx_points"])
             series = calibration.synthesize_series(
                 cfg["slope_per_unit"], cfg["quadratic_coeff"], jx, cfg["n_cycles"],
                 cfg["seed"],
             )
-        except ValueError as exc:  # se > 0 fails: 1 + truth <= 0 at some jx
-            raise ValueError(
-                "bad value for 'slope_per_unit' or 'quadratic_coeff': the noise "
-                f"variance ratio 1 + slope jx + quadratic jx^2 is not positive ({exc})"
-            )
-        except FloatingPointError as exc:
-            raise FloatingPointError(f"bad value for {source_keys}: {exc}")
-    try:
+    # without fit_jx_max the cut is the median of the series' jx
+    cut = () if cfg["fit_jx_max"] is None else ("fit_jx_max",)
+    with _bad_value(*source, *cut):
         fit = calibration.fit_pnl(series, cfg["fit_jx_max"])
-    except FloatingPointError as exc:
-        raise FloatingPointError(f"bad value for {source_keys}: {exc}")
-    except ValueError as exc:  # too few points, or only jx = 0, under the cut
-        if cfg["fit_jx_max"] is not None:
-            keys = "'fit_jx_max'"
-        elif cfg["series_csv"] is not None:
-            keys = "'series_csv'"
-        else:  # the cut is the median of the synthesised jx
-            keys = "'jx_points', 'jx_min' or 'jx_max'"
-        raise ValueError(f"bad value for {keys}: {exc}")
     return {
         "calibration_points.csv": (
             calibration.COLUMNS,
@@ -427,10 +406,9 @@ MICROSCOPIC_FIELDS = {
 
 
 def compute_microscopic(cfg):
-    # numpy's overflow messages name only the ufunc
-    out_of_range = ("the couplings over- or underflow: bad value for "
-                    "'target_coupling' or 'collective_spin'")
-    try:
+    out_of_range = "the couplings over- or underflow"
+    with _bad_value("target_coupling", "bins", "larmor_frequency", "pulse_duration",
+                    "collective_spin", what=out_of_range):
         params = microscopic.tuned_params(
             cfg["target_coupling"],
             bins=cfg["bins"],
@@ -441,13 +419,12 @@ def compute_microscopic(cfg):
         couplings = microscopic.demodulate(microscopic.propagate_binned(params))
         k_theory = microscopic.theoretical_coupling(params)
         rel_dev = abs(couplings.coupling - k_theory) / k_theory
-    except FloatingPointError:
-        raise FloatingPointError(out_of_range)
 
     sweep_rows = []
     slope = None
     if cfg["sweep"]:
-        try:
+        with _bad_value("target_coupling", "sweep_bins", "pulse_duration",
+                        "collective_spin", what=out_of_range):
             sweep_rows = microscopic.omega_t_sweep(
                 microscopic.pinned_phase_omega_t(),
                 bins=cfg["sweep_bins"],
@@ -455,11 +432,6 @@ def compute_microscopic(cfg):
                 pulse_duration=cfg["pulse_duration"],
                 collective_spin=cfg["collective_spin"],
             )
-        except ValueError as exc:
-            # the other keys already built valid params above
-            raise ValueError(f"bad value for 'sweep_bins': {exc}")
-        except FloatingPointError:
-            raise FloatingPointError(out_of_range)
         slope = float(
             np.polyfit(
                 np.log([r["omega_t"] for r in sweep_rows]),
@@ -506,35 +478,31 @@ def _curve_times(cfg):
     # np.arange gives ceil(stop / step) points; count them before allocating
     if not stop <= MAX_CURVE_POINTS * step:
         raise ValueError(
-            f"bad value for 't_step_ms': {cfg['t_step_ms']} ms up to t_max_ms "
-            f"{cfg['t_max_ms']} ms gives more than {MAX_CURVE_POINTS} time points"
+            f"t_step_ms {cfg['t_step_ms']} ms up to t_max_ms {cfg['t_max_ms']} ms "
+            f"gives more than {MAX_CURVE_POINTS} time points"
         )
     return np.arange(0.0, stop, step)
 
 
 def compute_lifetime(cfg):
-    cset = CoherentSet(cfg["n_min"], cfg["n_max"])
     params = _storage_params(cfg)
-    times = _curve_times(cfg)
-    # before calibrate_tau, whose own finiteness check names no key
-    _, f_class = _classical_optimum(cset)
-    try:
+    with _bad_value("t_max_ms", "t_step_ms"):
+        times = _curve_times(cfg)
+    # calibrate_tau needs f_class too; a failure here names the set alone
+    with _bad_value("n_min", "n_max"):
+        cset = CoherentSet(cfg["n_min"], cfg["n_max"])
+        _, f_class = optimize_classical_gain(cset.n_min, cset.n_max)
+    # the stored channel reads no readout_coupling
+    with _bad_value("n_min", "n_max", "coupling", "gain", "atom_var_x", "atom_var_p",
+                    "excess_noise_rate", "crossing_ms",
+                    what="the decayed channel overflows"):
         decay = decoherence.calibrate_tau(
             cset,
             params,
             cfg["crossing_ms"] * 1e-3,
             excess_noise_rate=cfg["excess_noise_rate"],
         )
-    except ValueError as exc:
-        raise ValueError(f"bad value for 'crossing_ms': {exc}")
-    except OverflowError as exc:  # the stored variances square coupling and gain
-        raise OverflowError(f"bad value for 'coupling' or 'gain': {exc}")
-    except RuntimeError as exc:  # the fidelity at crossing_ms stays below the benchmark
-        raise RuntimeError(
-            "bad value for 'coupling', 'gain', 'atom_var_x', 'atom_var_p', "
-            f"'excess_noise_rate' or 'crossing_ms': {exc}"
-        )
-    fids = decoherence.fidelity_vs_time(cset, params, decay, times)
+        fids = decoherence.fidelity_vs_time(cset, params, decay, times)
     crossing = decoherence.crossing_time(times, fids, f_class)
     return {
         "lifetime.csv": (

@@ -114,14 +114,13 @@ def calibrate_tau(cset, storage_params, crossing, excess_noise_rate=0.0):
 
     Root-finds ``tau`` such that the decayed channel's fidelity at
     ``crossing`` seconds equals the best classical fidelity for the set.
-    Raises ``FloatingPointError`` if that fidelity is not finite (it
-    overflows for very large sets), ``RuntimeError`` if the channel never
-    beats it and ``ValueError`` if it still beats it at the shortest
+    :func:`~qmemsim.fidelity.optimize_classical_gain` raises
+    ``FloatingPointError`` if that fidelity is not finite (it overflows
+    for very large sets); this raises ``RuntimeError`` if the channel
+    never beats it and ``ValueError`` if it still beats it at the shortest
     ``tau`` of the bracket (the crossing is too short to calibrate).
     """
     _, f_class = optimize_classical_gain(cset.n_min, cset.n_max)
-    if not np.isfinite(f_class):
-        raise FloatingPointError(f"classical benchmark is {f_class} for this set")
     base = store_channel(storage_params)
 
     def gap(tau):

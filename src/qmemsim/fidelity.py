@@ -220,10 +220,20 @@ def classical_fidelity(gain, n_min, n_max):
 
 
 def optimize_classical_gain(n_min, n_max):
-    """Maximize the classical fidelity over gains in (0, 1]."""
-    gain, value = minimize_bounded(
-        lambda g: -classical_fidelity(g, n_min, n_max), 1e-9, 1.0, 1e-9
-    )
+    """Maximize the classical fidelity over gains in (0, 1].
+
+    Raises ``FloatingPointError`` naming the set when the optimum is not
+    finite: the closed form overflows from ``n_max`` about 4263 at
+    ``n_min`` 0, and the minimiser then steps through NaN quietly.
+    """
+    with np.errstate(all="ignore"):
+        gain, value = minimize_bounded(
+            lambda g: -classical_fidelity(g, n_min, n_max), 1e-9, 1.0, 1e-9
+        )
+    if not np.isfinite(value):
+        raise FloatingPointError(
+            f"the classical optimum over photon numbers [{n_min}, {n_max}] is not finite"
+        )
     return float(gain), float(-value)
 
 

@@ -684,9 +684,10 @@ def test_config_contract_fuzz(tmp_path, capsys):
 
     Each run exits 0, 2 or 3 with no exception escaping and no warning
     leaked.  Exit 2 writes nothing and names the key under test; exit 3
-    prints its one-line message alone, and the message is more than
-    Python's bare arithmetic error or numpy's "... encountered in <ufunc>";
-    exit 0 writes no NaN or Infinity into any JSON or SVG file.
+    prints its one-line message alone, names the key under test in
+    quotes, and is more than Python's bare arithmetic error or numpy's
+    "... encountered in <ufunc>"; exit 0 writes no NaN or Infinity into
+    any JSON or SVG file.
     """
     assert set(FUZZ_BASE) == set(cli._COMMANDS)
     cases = [
@@ -715,6 +716,8 @@ def test_config_contract_fuzz(tmp_path, capsys):
             broken.append((command, key, value, "key not named", err))
         if caught:
             broken.append((command, key, value, [str(w.message) for w in caught]))
+        if code == 3 and f"'{key}'" not in err:
+            broken.append((command, key, value, "key not named in quotes", err))
         if code == 3 and err.count("\n") != 1:
             broken.append((command, key, value, "more than one line", err))
         if code == 3 and BARE_ARITHMETIC.match(err):
@@ -764,3 +767,62 @@ def test_overflow_names_the_key(tmp_path, capsys, command, config, key):
     err = capsys.readouterr().err
     assert f"'{key}'" in err and "encountered in" not in err
     assert not list((tmp_path / "out").iterdir())
+
+
+class TestBadValue:
+    """``cli._bad_value``: the one rule that names the keys of a failure."""
+
+    @staticmethod
+    def raised(exc, *keys, what="the channel overflows"):
+        with pytest.raises(Exception) as info:
+            with cli._bad_value(*keys, what=what):
+                raise exc
+        return info.value
+
+    @pytest.mark.parametrize("keys, names", [
+        (("a",), "'a'"),
+        (("a", "b"), "'a' or 'b'"),
+        (("a", "b", "c"), "'a', 'b' or 'c'"),
+    ])
+    def test_names_every_key(self, keys, names):
+        exc = self.raised(ValueError("too small"), *keys)
+        assert str(exc) == f"bad value for {names}: too small"
+
+    @pytest.mark.parametrize("error", [ValueError("x"), OSError("x"),
+                                       FileNotFoundError(2, "no such file")])
+    def test_domain_errors_exit_two(self, error):
+        exc = self.raised(error, "a")
+        assert type(exc) is ValueError
+        assert exc.__cause__ is error
+
+    @pytest.mark.parametrize("error", [RuntimeError("x"), ZeroDivisionError("x"),
+                                       OverflowError("x"),
+                                       np.linalg.LinAlgError("x")])
+    def test_numerical_errors_exit_three(self, error):
+        exc = self.raised(error, "a")
+        assert type(exc) is FloatingPointError
+        assert str(exc) == "bad value for 'a': x"
+
+    def test_numpy_message_gives_way_to_what(self):
+        with pytest.raises(FloatingPointError) as info:
+            with np.errstate(over="raise"), cli._bad_value("a", what="the channel overflows"):
+                np.float64(1e300) * np.float64(1e300)
+        assert str(info.value) == "bad value for 'a': the channel overflows"
+        assert "encountered in" not in str(info.value)
+
+    def test_library_message_is_kept(self):
+        error = FloatingPointError("cannot bin outcomes in [-5e+199, -5e+199]")
+        exc = self.raised(error, "a", "b")
+        assert str(exc) == (
+            "bad value for 'a' or 'b': cannot bin outcomes in [-5e+199, -5e+199]"
+        )
+
+    def test_exit_codes_through_main(self, monkeypatch, tmp_path, capsys):
+        for error, code in ((ValueError("v"), 2), (RuntimeError("r"), 3)):
+            def compute(cfg, error=error):
+                with cli._bad_value("seed"):
+                    raise error
+
+            monkeypatch.setitem(cli._COMMANDS, "store", (cli.STORE_FIELDS, compute))
+            assert run(tmp_path, "store", STORE_CONFIG) == code
+            assert "bad value for 'seed': " in capsys.readouterr().err

@@ -117,6 +117,10 @@ class TestLifetimeCurve:
         with pytest.raises(RuntimeError, match="classical"):
             calibrate_tau(CoherentSet(0, 10), weak, 4e-3)
 
+    def test_overflowing_set_raises_from_the_classical_optimum(self):
+        with pytest.raises(FloatingPointError, match=r"photon numbers \[0, 4300\]"):
+            calibrate_tau(CoherentSet(0, 4300), StorageParams(), 4e-3)
+
     def test_crossing_below_tau_bracket_raises(self):
         # at tau = 1e-5 s a 1 ns crossing leaves the fidelity above the
         # classical optimum, so the bracket holds no sign change

@@ -340,6 +340,13 @@ class TestGainOptimization:
             0.5, abs=0.01
         )
 
+    def test_overflowing_set_raises_naming_it(self, recwarn):
+        # the closed form overflows from n_max about 4263; the minimiser once
+        # returned inf here, with numpy warnings on the way
+        with pytest.raises(FloatingPointError, match=r"photon numbers \[0, 4300\]"):
+            optimize_classical_gain(0, 4300)
+        assert not recwarn.list
+
 
 class TestVarianceBound:
     def test_unit_gain_three_noise_units(self):

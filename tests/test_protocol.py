@@ -470,18 +470,18 @@ class TestReverseReadout:
         cond_cov = None
         quarter = SymplecticMap.rotation(np.pi / 2).embed([1], 2)
         aux_step = interaction_map(1.0).embed([2, 1], 3)
+        # the sequence up to the aux measurement does not depend on an outcome
+        joint = tensor(vacuum_state(["readout"]), vacuum_state([ATOMS]))
+        joint = apply_symplectic(joint, interaction_map(params.coupling))
+        joint = apply_symplectic(joint, quarter)
+        joint = tensor(joint, vacuum_state(["aux"]))
+        joint = apply_symplectic(joint, aux_step)
+        half_turn = SymplecticMap.rotation(np.pi)
         for i in range(n):
-            joint = tensor(vacuum_state(["readout"]), vacuum_state([ATOMS]))
-            joint = apply_symplectic(joint, interaction_map(params.coupling))
-            joint = apply_symplectic(joint, quarter)
-            joint = tensor(joint, vacuum_state(["aux"]))
-            joint = apply_symplectic(joint, aux_step)
             y, cond = homodyne_measure(joint, "aux", "x", rng=rng)
             cond = displace(cond, "readout", 0.0, params.gain * y)
             light_out = partial_trace(cond, ["readout"])
-            light_out = apply_symplectic(
-                light_out, SymplecticMap.rotation(np.pi)
-            )
+            light_out = apply_symplectic(light_out, half_turn)
             means[i] = light_out.mean
             cond_cov = light_out.cov
         total = np.cov(means.T) + cond_cov
