@@ -102,6 +102,21 @@ class GaussianState:
     def __setattr__(self, name, value):
         raise AttributeError("GaussianState is immutable")
 
+    def _with_mean(self, mean):
+        """This state's modes and covariance with a new mean.
+
+        ``mean`` must be a fresh float64 array of this state's mean shape;
+        it is made read-only and taken over without a copy.  The checks of
+        ``__init__`` are skipped: the covariance already passed them and
+        cannot change.
+        """
+        state = object.__new__(GaussianState)
+        object.__setattr__(state, "mode_names", self.mode_names)
+        object.__setattr__(state, "mean", mean)
+        object.__setattr__(state, "cov", self.cov)
+        mean.flags.writeable = False
+        return state
+
     # -- mode bookkeeping ---------------------------------------------------
 
     @property
@@ -272,7 +287,7 @@ def displace(state, mode, dx, dp):
     mean = state.mean.copy()
     mean[ix] += dx
     mean[ip] += dp
-    return GaussianState(state.mode_names, mean, state.cov, copy=False)
+    return state._with_mean(mean)
 
 
 def partial_trace(state, keep):

@@ -57,6 +57,10 @@ __all__ = [
 ATOMS = "atoms"
 VERIFY = "verify"
 AUX = "aux"
+READOUT = "readout"
+
+_ZEROS = np.zeros(2)  # the mean of a fresh vacuum or atomic mode
+_ZEROS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -116,14 +120,45 @@ class ChannelSummary:
 
 
 def interaction_map(coupling):
-    """QND interaction on (light, atoms): X_l += k P_a, X_a += k P_l."""
+    """QND interaction on (light, atoms): X_l += k P_a, X_a += k P_l.
+
+    The map is read-only, so one is built per distinct coupling and shared.
+    """
     k = float(coupling)
     if not np.isfinite(k):
         raise ValueError("coupling must be finite")
+    return _interaction_map(struct.pack("d", k))
+
+
+# Keyed on the coupling's bytes, so that -0.0 and 0.0 (equal as floats,
+# hence as plain cache keys) get separate maps.
+@functools.lru_cache(maxsize=64)
+def _interaction_map(coupling):
+    (k,) = struct.unpack("d", coupling)
     s = np.eye(4)
     s[0, 3] = k  # X_light picks up k * P_atom
     s[2, 1] = k  # X_atom picks up k * P_light
     return SymplecticMap(s)
+
+
+@functools.lru_cache(maxsize=64)
+def _aux_interaction(coupling):
+    """The interaction of (aux light, atoms) in slots (2, 1) of three modes.
+
+    Keyed on the float: a positive coupling has no signed zero.
+    """
+    return interaction_map(coupling).embed([2, 1], 3)
+
+
+@functools.cache
+def _quarter_turn():
+    """The quarter-cycle rotation of slot 1 of (light, atoms)."""
+    return SymplecticMap.rotation(np.pi / 2).embed([1], 2)
+
+
+@functools.cache
+def _half_turn():
+    return SymplecticMap.rotation(np.pi)
 
 
 def initial_atoms(params):
@@ -137,7 +172,9 @@ def _feedback_average(joint, measured_mode, quadrature, targets):
     Equivalent to the Heisenberg-picture displacement of each target
     quadrature by ``gain`` times the measured quadrature, followed by
     tracing out the measured mode.  ``targets`` is a list of
-    ``(mode, quadrature, gain)`` triples.
+    ``(mode, quadrature, gain)`` triples.  Returns ``(lin, quads, state)``:
+    the linear map of the joint moments, the quadrature indices that the
+    trace keeps, and the reduced state.
     """
     q = joint.quad_index(measured_mode, quadrature)
     lin = np.eye(joint.mean.size)
@@ -145,20 +182,27 @@ def _feedback_average(joint, measured_mode, quadrature, targets):
         lin[joint.quad_index(mode, quad), q] += gain
     mean = lin @ joint.mean
     cov = lin @ joint.cov @ lin.T
-    measured = joint.mode_names[joint.mode_index(measured_mode)]
-    keep = [name for name in joint.mode_names if name != measured]
+    measured = joint.mode_index(measured_mode)
+    keep = [name for i, name in enumerate(joint.mode_names) if i != measured]
+    quads = [i for i in range(mean.size) if i // 2 != measured]
     reduced = GaussianState(joint.mode_names, mean, cov, copy=False)
-    return partial_trace(reduced, keep)
+    lin.flags.writeable = False
+    return lin, quads, partial_trace(reduced, keep)
+
+
+# The three caches below hold the outcome-independent half of a storage or
+# retrieval step.  Each is keyed on the exact bytes of what it reads, so
+# ``-0.0`` and ``0.0`` get separate entries, and runs the object pipeline
+# on a miss, so every check of it runs once per distinct input.  An
+# exception is raised again on the next call, since it is not cached.
 
 
 @functools.lru_cache(maxsize=64)
 def _store_conditioning(light_name, light_mean, light_cov, knobs):
     """Outcome-independent half of :func:`store_conditional`.
 
-    Keyed on the exact bytes of what it reads, so ``-0.0`` and ``0.0``
-    get separate entries and the feedback gain is not part of the key.
-    Every validation of the pipeline runs once per distinct input; an
-    exception is raised again on the next call, since it is not cached.
+    Returns the homodyne update and a state with the conditional
+    covariance; the feedback gain is not part of the key.
     """
     coupling, atom_var_x, atom_var_p = struct.unpack("3d", knobs)
     light = GaussianState(
@@ -166,7 +210,19 @@ def _store_conditioning(light_name, light_mean, light_cov, knobs):
     )
     atoms = single_mode(ATOMS, var_x=atom_var_x, var_p=atom_var_p)
     joint = apply_symplectic(tensor(light, atoms), interaction_map(coupling))
-    return homodyne_update(joint, light_name, "x")
+    update = homodyne_update(joint, light_name, "x")
+    return update, GaussianState(update.mode_names, update.mean_r, update.cov, copy=False)
+
+
+def _conditioning(input_light, params):
+    if input_light.n_modes != 1:
+        raise ValueError("input light must be a single mode")
+    return _store_conditioning(
+        input_light.mode_names[0],
+        input_light.mean.tobytes(),
+        input_light.cov.tobytes(),
+        struct.pack("3d", params.coupling, params.atom_var_x, params.atom_var_p),
+    )
 
 
 def store_update(input_light, params):
@@ -176,14 +232,7 @@ def store_update(input_light, params):
     transmitted light X after the interaction: its ``mu_q`` and ``var_q``
     are the marginal of the feedback outcome.
     """
-    if input_light.n_modes != 1:
-        raise ValueError("input light must be a single mode")
-    return _store_conditioning(
-        input_light.mode_names[0],
-        input_light.mean.tobytes(),
-        input_light.cov.tobytes(),
-        struct.pack("3d", params.coupling, params.atom_var_x, params.atom_var_p),
-    )
+    return _conditioning(input_light, params)[0]
 
 
 def store_conditional(input_light, params, rng=None, fixed_outcome=None):
@@ -195,13 +244,29 @@ def store_conditional(input_light, params, rng=None, fixed_outcome=None):
     covariance does not depend on the outcome, so it is computed once per
     distinct input and shared, read-only, by the states returned.
     """
-    update = store_update(input_light, params)
+    update, state = _conditioning(input_light, params)
     outcome, mean = update.condition(rng, fixed_outcome)
     # feedback displaces the atomic P by -gain * outcome; adding 0.0 to X
     # turns a -0.0 into +0.0 exactly as displace(state, mode, 0.0, dp) does
     mean[0] += 0.0
     mean[1] += -params.gain * outcome
-    return outcome, GaussianState(update.mode_names, mean, update.cov, copy=False)
+    return outcome, state._with_mean(mean)
+
+
+@functools.lru_cache(maxsize=64)
+def _average_steps(light_name, light_cov, knobs):
+    """Outcome-independent half of :func:`store_average`.
+
+    Returns the interaction matrix, the feedback map and the quadratures
+    it keeps, and the stored state of a zero-mean input.
+    """
+    coupling, gain, atom_var_x, atom_var_p = struct.unpack("4d", knobs)
+    light = GaussianState([light_name], _ZEROS, np.frombuffer(light_cov).reshape(2, 2))
+    atoms = single_mode(ATOMS, var_x=atom_var_x, var_p=atom_var_p)
+    interaction = interaction_map(coupling)
+    joint = apply_symplectic(tensor(light, atoms), interaction)
+    lin, quads, stored = _feedback_average(joint, light_name, "x", [(ATOMS, "p", -gain)])
+    return interaction.matrix, lin, quads, stored
 
 
 def store_average(input_light, params):
@@ -209,15 +274,24 @@ def store_average(input_light, params):
 
     The measurement-plus-feedback step is averaged over outcomes, which
     reproduces the ensemble statistics of :func:`store_conditional`.
+    The covariance does not depend on the input mean, so it is computed
+    and checked once per distinct input covariance, coupling, gain and
+    atomic variances, and shared, read-only, by the states returned.
+    Each call replays the mean through the same matrices, so the result
+    is byte-identical to running the whole pipeline.
     """
     if input_light.n_modes != 1:
         raise ValueError("input light must be a single mode")
-    light_name = input_light.mode_names[0]
-    joint = tensor(input_light, initial_atoms(params))
-    joint = apply_symplectic(joint, interaction_map(params.coupling))
-    return _feedback_average(
-        joint, light_name, "x", [(ATOMS, "p", -params.gain)]
+    interaction, lin, quads, stored = _average_steps(
+        input_light.mode_names[0],
+        input_light.cov.tobytes(),
+        struct.pack(
+            "4d", params.coupling, params.gain, params.atom_var_x, params.atom_var_p
+        ),
     )
+    # the atoms start at zero mean; + 0.0 as in apply_symplectic
+    mean = interaction @ np.concatenate([input_light.mean, _ZEROS]) + 0.0
+    return stored._with_mean((lin @ mean)[quads])
 
 
 def store_channel(params):
@@ -298,27 +372,66 @@ def reverse_readout(
     that it estimates the atomic X directly, and the outgoing light is
     finally rotated by pi so that the store -> retrieve round trip
     preserves both mean quadratures rather than flipping their signs.
+
+    The covariance does not depend on the means, so it is computed and
+    checked once per distinct atomic and auxiliary covariance (with their
+    mode names) and knobs, and shared, read-only, by the states returned.
+    Each call replays the means through the same matrices, so the result
+    is byte-identical to running the whole pipeline.
     """
     if atomic_state.n_modes != 1:
         raise ValueError("expected a single atomic mode")
     if aux_coupling <= 0:
         raise ValueError("auxiliary coupling must be positive")
-    light_name = "readout"
-    joint = tensor(vacuum_state([light_name]), atomic_state)
-    joint = apply_symplectic(joint, interaction_map(params.coupling))
-
-    # auxiliary measurement of the (post-interaction) atomic X
-    rot = SymplecticMap.rotation(np.pi / 2).embed([1], 2)
-    joint = apply_symplectic(joint, rot)
-    aux = vacuum_state([AUX]) if aux_light is None else aux_light
-    joint = tensor(joint, aux)
-    joint = apply_symplectic(
-        joint, interaction_map(aux_coupling).embed([2, 1], 3)
-    )
+    aux = None if aux_light is None else (aux_light.mode_names, aux_light.cov.tobytes())
     # X_aux reads -aux_coupling * X_atom; feeding back -g times the
     # rescaled record means displacing P_light by +g/aux_coupling * X_aux.
-    retrieved = _feedback_average(
-        joint, AUX, "x", [(light_name, "p", reverse_gain / aux_coupling)]
+    feedback = reverse_gain / aux_coupling
+    interaction, quarter, aux_step, lin, quads, half, retrieved = _readout_steps(
+        atomic_state.mode_names[0],
+        atomic_state.cov.tobytes(),
+        aux,
+        struct.pack("3d", params.coupling, aux_coupling, feedback),
     )
-    retrieved = partial_trace(retrieved, [light_name])
-    return apply_symplectic(retrieved, SymplecticMap.rotation(np.pi))
+    mean = interaction @ np.concatenate([_ZEROS, atomic_state.mean]) + 0.0
+    mean = quarter @ mean + 0.0
+    aux_mean = _ZEROS if aux_light is None else aux_light.mean
+    mean = aux_step @ np.concatenate([mean, aux_mean]) + 0.0
+    return retrieved._with_mean(half @ (lin @ mean)[quads] + 0.0)
+
+
+@functools.lru_cache(maxsize=64)
+def _readout_steps(atom_name, atom_cov, aux, knobs):
+    """Outcome-independent half of :func:`reverse_readout`.
+
+    ``aux`` is ``None`` for a vacuum auxiliary pulse, else its mode names
+    and covariance bytes.  Returns the step matrices in the order they act
+    on the means, the quadratures that the two traces keep, and the
+    retrieved state of zero-mean inputs.
+    """
+    coupling, aux_coupling, feedback = struct.unpack("3d", knobs)
+    atoms = GaussianState([atom_name], _ZEROS, np.frombuffer(atom_cov).reshape(2, 2))
+    if aux is None:
+        aux_light = vacuum_state([AUX])
+    else:
+        names, cov = aux
+        dim = 2 * len(names)
+        cov = np.frombuffer(cov).reshape(dim, dim)
+        aux_light = GaussianState(names, np.zeros(dim), cov)
+    interaction = interaction_map(coupling)
+    joint = apply_symplectic(tensor(vacuum_state([READOUT]), atoms), interaction)
+
+    # auxiliary measurement of the (post-interaction) atomic X
+    quarter = _quarter_turn()
+    joint = apply_symplectic(joint, quarter)
+    joint = tensor(joint, aux_light)
+    aux_step = _aux_interaction(aux_coupling)
+    joint = apply_symplectic(joint, aux_step)
+    lin, keep, retrieved = _feedback_average(joint, AUX, "x", [(READOUT, "p", feedback)])
+    light = [keep[i] for i in retrieved.quad_indices(READOUT)]
+    half = _half_turn()
+    retrieved = apply_symplectic(partial_trace(retrieved, [READOUT]), half)
+    return (
+        interaction.matrix, quarter.matrix, aux_step.matrix, lin, light,
+        half.matrix, retrieved,
+    )

@@ -10,6 +10,8 @@ from scipy.optimize import minimize_scalar
 from qmemsim import protocol
 from qmemsim.decoherence import DecayParams, apply_decay
 from qmemsim.gaussian import (
+    GaussianState,
+    SymplecticMap,
     apply_symplectic,
     assert_physical,
     coherent_state,
@@ -266,6 +268,307 @@ class TestStoreConditionalCache:
             with pytest.raises(ValueError):
                 array[0] = 1.0
         assert first.mean.tobytes() != second.mean.tobytes()
+
+
+def fresh_interaction(coupling):
+    """``interaction_map`` built anew on every call, past its cache."""
+    k = float(coupling)
+    if not np.isfinite(k):
+        raise ValueError("coupling must be finite")
+    s = np.eye(4)
+    s[0, 3] = s[2, 1] = k
+    return SymplecticMap(s)
+
+
+def reference_feedback(joint, measured_mode, targets):
+    """Measure X of one mode, feed it back to the targets and average."""
+    q = joint.quad_index(measured_mode, "x")
+    lin = np.eye(joint.mean.size)
+    for mode, quad, gain in targets:
+        lin[joint.quad_index(mode, quad), q] += gain
+    reduced = GaussianState(
+        joint.mode_names, lin @ joint.mean, lin @ joint.cov @ lin.T, copy=False
+    )
+    measured = joint.mode_names[joint.mode_index(measured_mode)]
+    return partial_trace(reduced, [n for n in joint.mode_names if n != measured])
+
+
+def reference_average(input_light, params):
+    """The literal averaged storage sequence, one state per step."""
+    if input_light.n_modes != 1:
+        raise ValueError("input light must be a single mode")
+    joint = tensor(input_light, initial_atoms(params))
+    joint = apply_symplectic(joint, fresh_interaction(params.coupling))
+    return reference_feedback(
+        joint, input_light.mode_names[0], [(ATOMS, "p", -params.gain)]
+    )
+
+
+def reference_readout(
+    atomic_state, params, reverse_gain=1.0, aux_coupling=1.0, aux_light=None
+):
+    """The literal retrieval sequence, one state per step."""
+    if atomic_state.n_modes != 1:
+        raise ValueError("expected a single atomic mode")
+    if aux_coupling <= 0:
+        raise ValueError("auxiliary coupling must be positive")
+    joint = tensor(vacuum_state(["readout"]), atomic_state)
+    joint = apply_symplectic(joint, fresh_interaction(params.coupling))
+    joint = apply_symplectic(joint, SymplecticMap.rotation(np.pi / 2).embed([1], 2))
+    joint = tensor(joint, vacuum_state(["aux"]) if aux_light is None else aux_light)
+    joint = apply_symplectic(joint, fresh_interaction(aux_coupling).embed([2, 1], 3))
+    retrieved = reference_feedback(
+        joint, "aux", [("readout", "p", reverse_gain / aux_coupling)]
+    )
+    retrieved = partial_trace(retrieved, ["readout"])
+    return apply_symplectic(retrieved, SymplecticMap.rotation(np.pi))
+
+
+def outcome_bytes(fn, *args, **kwargs):
+    """A returned state's names and bytes, or the type and text of its error."""
+    try:
+        state = fn(*args, **kwargs)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return state.mode_names, state.mean.tobytes(), state.cov.tobytes()
+
+
+def assert_same_outcome(fn, reference, *args, **kwargs):
+    got = outcome_bytes(fn, *args, **kwargs)
+    assert got == outcome_bytes(reference, *args, **kwargs)
+    return got
+
+
+def unit_product(var_x, excess):
+    """The P variance that gives an uncertainty product of ``excess / 4``."""
+    return excess * 0.25 / var_x
+
+
+class TestAveragedCaches:
+    """The cached halves of store_average and reverse_readout give the
+    bytes of the literal pipeline, on a miss and on a hit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        name=st.sampled_from(["light", "in", "readout", "aux"]),
+        means=st.lists(signed(-5.0, 5.0), min_size=4, max_size=4),
+        var_x=st.floats(0.05, 5.0),
+        excess=st.floats(1.0, 4.0),
+        cov_xp=signed(-0.04, 0.04),
+        coupling=signed(0.0, 2.0),
+        gain=signed(-2.0, 2.0),
+        atom_var_x=st.floats(0.05, 5.0),
+        atom_excess=st.floats(1.0, 4.0),
+    )
+    def test_average_matches_reference(
+        self, name, means, var_x, excess, cov_xp, coupling, gain, atom_var_x,
+        atom_excess,
+    ):
+        params = StorageParams(
+            coupling=coupling, gain=gain, atom_var_x=atom_var_x,
+            atom_var_p=unit_product(atom_var_x, atom_excess),
+        )
+        var_p = unit_product(var_x, excess)
+        for x, p in (means[:2], means[2:]):  # a miss, then a hit at another mean
+            light = single_mode(name, x, p, var_x, var_p, cov_xp)
+            assert_same_outcome(store_average, reference_average, light, params)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        atom_name=st.sampled_from([ATOMS, "mem", "light"]),
+        means=st.lists(signed(-5.0, 5.0), min_size=4, max_size=4),
+        var_x=st.floats(0.05, 5.0),
+        excess=st.floats(1.0, 4.0),
+        cov_xp=signed(-0.04, 0.04),
+        coupling=signed(0.0, 2.0),
+        reverse_gain=signed(-3.0, 3.0),
+        aux_coupling=signed(0.05, 3.0),
+        aux=st.none() | st.tuples(
+            st.lists(signed(-2.0, 2.0), min_size=4, max_size=4),
+            st.sampled_from([0.005, 0.5, 2.0]) | st.floats(0.005, 3.0),
+            st.floats(1.0, 3.0),
+            signed(-0.01, 0.01),
+        ),
+    )
+    def test_readout_matches_reference(
+        self, atom_name, means, var_x, excess, cov_xp, coupling, reverse_gain,
+        aux_coupling, aux,
+    ):
+        params = StorageParams(coupling=coupling)
+        var_p = unit_product(var_x, excess)
+        for i in (0, 2):  # a miss, then a hit at other means
+            atoms = single_mode(atom_name, means[i], means[i + 1], var_x, var_p, cov_xp)
+            aux_light = None
+            if aux is not None:  # displaced, and squeezed at small aux_x
+                aux_means, aux_x, aux_excess, aux_xp = aux
+                aux_light = single_mode(
+                    "aux", aux_means[i], aux_means[i + 1], aux_x,
+                    unit_product(aux_x, aux_excess), aux_xp,
+                )
+            assert_same_outcome(
+                reverse_readout, reference_readout, atoms, params,
+                reverse_gain=reverse_gain, aux_coupling=aux_coupling,
+                aux_light=aux_light,
+            )
+
+    def test_errors_repeat_on_every_call(self):
+        params = StorageParams()
+        atoms = single_mode(ATOMS, 0.3, -0.2)
+        for aux_light in (None, single_mode("aux")):  # cached inputs
+            reverse_readout(atoms, params, aux_light=aux_light)
+        store_average(coherent_state(0.3, -0.2), params)
+        average = (store_average, reference_average)
+        readout = (reverse_readout, reference_readout)
+        cases = [
+            (average, coherent_state(0.0, 0.0, mode=ATOMS), {}, "both sides"),
+            (average, vacuum_state(["a", "b"]), {}, "single mode"),
+            (readout, single_mode("readout"), {}, "both sides"),
+            (readout, atoms, {"aux_light": single_mode(ATOMS)}, "both sides"),
+            (readout, atoms, {"aux_light": single_mode("other")}, "unknown mode 'aux'"),
+            (readout, vacuum_state([ATOMS, "b"]), {}, "single atomic mode"),
+            (readout, atoms, {"aux_light": vacuum_state(["aux", "b"])}, "state has 4"),
+            (readout, atoms, {"aux_coupling": 0.0}, "must be positive"),
+            (readout, atoms, {"aux_coupling": -0.0}, "must be positive"),
+            (readout, atoms, {"aux_coupling": -1.0}, "must be positive"),
+        ]
+        for fns, state, kwargs, message in cases:
+            for _ in range(3):
+                for fn in fns:
+                    with pytest.raises(ValueError, match=message):
+                        fn(state, params, **kwargs)
+        assert_same_outcome(reverse_readout, reference_readout, atoms, params)
+
+    def test_more_inputs_than_the_caches_hold(self):
+        size = protocol._readout_steps.cache_info().maxsize
+        assert protocol._average_steps.cache_info().maxsize == size
+        params = StorageParams(coupling=0.9, gain=1.1)
+        lights = [
+            single_mode("light", 0.01 * i, -0.0, var_x=0.5 + 0.01 * i)
+            for i in range(2 * size + 3)
+        ]
+        for _ in range(2):
+            for i, light in enumerate(lights):
+                _, mean, cov = assert_same_outcome(
+                    store_average, reference_average, light, params
+                )
+                stored = GaussianState(
+                    [ATOMS], np.frombuffer(mean), np.frombuffer(cov).reshape(2, 2)
+                )
+                assert_same_outcome(
+                    reverse_readout, reference_readout, stored, params,
+                    reverse_gain=0.1 * i - 3.0,
+                )
+
+    def test_signed_zeros_key_the_caches(self):
+        protocol._average_steps.cache_clear()
+        for x, coupling, gain in [
+            (0.0, 0.0, 0.0),
+            (-0.0, 0.0, 0.0),  # same entry: the input mean is not read
+            (0.0, -0.0, 0.0),  # new entry: the coupling's bytes differ
+            (0.0, 0.0, -0.0),  # new entry: the gain's bytes differ
+            (5.0, -0.0, 0.0),
+        ]:
+            params = StorageParams(coupling=coupling, gain=gain)
+            assert_same_outcome(
+                store_average, reference_average, coherent_state(x, -0.0), params
+            )
+        info = protocol._average_steps.cache_info()
+        assert (info.misses, info.hits) == (3, 2)
+
+        protocol._readout_steps.cache_clear()
+        for x, coupling, reverse_gain in [
+            (0.0, 0.0, 0.0),
+            (-0.0, 0.0, 0.0),  # same entry: the atomic mean is not read
+            (0.0, -0.0, 0.0),  # new entry: the coupling's bytes differ
+            (0.0, 0.0, -0.0),  # new entry: the feedback gain's bytes differ
+            (2.0, 0.0, -0.0),
+        ]:
+            assert_same_outcome(
+                reverse_readout, reference_readout, single_mode(ATOMS, x, -0.0),
+                StorageParams(coupling=coupling), reverse_gain=reverse_gain,
+            )
+        info = protocol._readout_steps.cache_info()
+        assert (info.misses, info.hits) == (3, 2)
+
+        protocol._interaction_map.cache_clear()
+        for k in (0.0, -0.0, 0.0):
+            want = fresh_interaction(k).matrix.tobytes()
+            assert interaction_map(k).matrix.tobytes() == want
+        info = protocol._interaction_map.cache_info()
+        assert (info.misses, info.hits) == (2, 1)
+
+    def test_results_share_only_the_read_only_covariance(self):
+        params = StorageParams()
+        calls = [
+            lambda x: store_conditional(
+                coherent_state(1.0, 2.0), params, fixed_outcome=x
+            )[1],
+            lambda x: store_average(coherent_state(x, 1.0), params),
+            lambda x: reverse_readout(single_mode(ATOMS, x, 1.0, 0.7, 0.9), params),
+        ]
+        for call in calls:
+            first, second = call(1.5), call(-2.5)
+            assert first.cov is second.cov
+            assert not np.shares_memory(first.mean, second.mean)
+            for array in (first.mean, first.cov, second.mean, second.cov):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 1.0
+        matrix = interaction_map(0.7).matrix
+        assert not matrix.flags.writeable
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 2.0
+
+
+class TestWorkCount:
+    """Maps are built and covariances checked once per distinct input,
+    not once per call: a count of both over a conditional-pipeline loop."""
+
+    CACHES = (
+        "_store_conditioning", "_average_steps", "_readout_steps",
+        "_interaction_map", "_aux_interaction", "_quarter_turn", "_half_turn",
+    )
+
+    def test_pipeline_loop_builds_and_checks_a_fixed_amount(self, monkeypatch):
+        light = coherent_state(1.2, -0.7)
+        params = StorageParams(coupling=0.95, gain=1.05)
+        unit = StorageParams()
+        inputs = [
+            coherent_state(x, p)
+            for x, p in np.random.default_rng(1).uniform(-3.0, 3.0, size=(200, 2))
+        ]
+        for name in self.CACHES:
+            getattr(protocol, name).cache_clear()
+        counts = {"maps": 0, "states": 0}
+
+        def counting(key, original):
+            def counted(self, *args, **kwargs):
+                counts[key] += 1
+                return original(self, *args, **kwargs)
+            return counted
+
+        # every SymplecticMap is checked in __post_init__, and every
+        # covariance check of a GaussianState runs in __init__
+        monkeypatch.setattr(
+            SymplecticMap, "__post_init__", counting("maps", SymplecticMap.__post_init__)
+        )
+        monkeypatch.setattr(
+            GaussianState, "__init__", counting("states", GaussianState.__init__)
+        )
+
+        def loop():
+            rng = np.random.default_rng(0)
+            for _ in range(1000):
+                store_conditional(light, params, rng=rng)
+            for stored in inputs:
+                reverse_readout(store_average(stored, unit), unit)
+
+        loop()
+        cold = dict(counts)
+        assert cold["maps"] <= 8
+        assert cold["states"] <= 32
+        loop()
+        assert counts == cold  # a warm loop builds no map and checks no covariance
 
 
 class TestPhysicalOutputs:
