@@ -21,8 +21,9 @@ load no scipy module (``tests/test_imports.py`` checks this).  The scipy
 routines it once called are ported bit for bit in
 :mod:`qmemsim._solvers`, and scipy is a test-only oracle for them.
 
-The reference paths that only tests use, the 2-d product quadrature and
-the per-trial replay of the Gaussian pipeline, live in the tests.
+Code that only tests use lives in the tests: the reference paths, such
+as the 2-d product quadrature, and the small helpers that nothing in the
+package calls (the README's Tests section lists both).
 """
 
 from .fidelity import (
@@ -40,7 +41,6 @@ from .gaussian import (
     coherent_state,
     displace,
     homodyne_measure,
-    mean_photon_number,
     partial_trace,
     tensor,
     vacuum_state,

@@ -11,19 +11,16 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fidelity import average_fidelity
 
 __all__ = [
     "CalibrationSeries",
     "CalibrationFit",
     "synthesize_series",
     "fit_pnl",
-    "coupling_squared_from_noise",
-    "pnl_sensitivity",
     "read_points_csv",
 ]
 
@@ -145,44 +142,6 @@ def fit_pnl(series, jx_max=None):
         chi2_per_dof=float(chi2_per_dof),
         n_used=n_used,
         jx_cut=float(jx_max),
-    )
-
-
-def coupling_squared_from_noise(out_var, in_var):
-    """Normalized excess noise ratio: (out - in) / in.
-
-    With variances in shot-noise units this equals the coupling squared,
-    i.e. ``2 var(X_out) - 1`` for a unit shot noise.
-    """
-    if in_var <= 0:
-        raise ValueError("shot-noise variance must be positive")
-    return (out_var - in_var) / in_var
-
-
-def pnl_sensitivity(channel, cset, rescale=0.10):
-    """Fidelity excursion under a misestimated projection noise level.
-
-    If the true noise level is ``(1 + eps)`` times the assumed one, the
-    inferred coupling scales by ``1/sqrt(1 + eps)``, so the reported
-    gains shrink by that factor while the reported variances shrink by
-    ``1/(1 + eps)``; the two effects push the fidelity in opposite
-    directions.  Returns the fidelities at ``eps = -rescale, 0, +rescale``.
-    """
-
-    def rescaled(eps):
-        factor = 1.0 + eps
-        return replace(
-            channel,
-            gain_x=channel.gain_x / np.sqrt(factor),
-            gain_p=channel.gain_p / np.sqrt(factor),
-            var_x=channel.var_x / factor,
-            var_p=channel.var_p / factor,
-        )
-
-    return (
-        average_fidelity(cset, rescaled(-rescale)),
-        average_fidelity(cset, channel),
-        average_fidelity(cset, rescaled(+rescale)),
     )
 
 

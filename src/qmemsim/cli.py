@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import itertools
 import json
@@ -178,12 +179,9 @@ def _count(low, high):
     return convert
 
 
+#: the ``StorageParams`` fields, in their order and with their defaults
 _STORAGE_FIELDS = {
-    "coupling": (float, 1.0),
-    "gain": (float, 1.0),
-    "readout_coupling": (float, 1.0),
-    "atom_var_x": (float, 0.5),
-    "atom_var_p": (float, 0.5),
+    field.name: (float, field.default) for field in dataclasses.fields(StorageParams)
 }
 
 
@@ -294,6 +292,10 @@ def compute_fidelity(cfg):
     configured = all(v is not None for v in channel_values)
     if not configured and any(v is not None for v in channel_values):
         raise ValueError("provide all of gain_x, gain_p, var_x, var_p or none")
+    # the uncertainty relation, with the slack StorageParams allows the atoms
+    with _bad_value("var_x", "var_p"):
+        if configured and cfg["var_x"] * cfg["var_p"] < 0.25 - 1e-9:
+            raise ValueError("var_x * var_p < 1/4 violates the uncertainty relation")
     n_min, n_max, tol = cfg["n_min"], cfg["n_max"], cfg["quad_tol"]
     with _bad_value(
         "n_min", "n_max", *(channel_keys if configured else ()), "quad_tol",

@@ -16,12 +16,10 @@ import numpy as np
 
 from ._solvers import brentq
 from .fidelity import average_fidelities, average_fidelity, optimize_classical_gain
-from .gaussian import GaussianState
 from .protocol import ChannelSummary, store_channel
 
 __all__ = [
     "DecayParams",
-    "apply_decay",
     "decay_channel",
     "fidelity_vs_time",
     "calibrate_tau",
@@ -49,16 +47,6 @@ class DecayParams:
 
 def _mixed(var, beta2, params):
     return beta2 * var + (1.0 - beta2) * (0.5 + params.excess_noise_rate)
-
-
-def apply_decay(atomic_state, t, params):
-    """Stored state after a storage delay of ``t`` seconds."""
-    if t < 0:
-        raise ValueError("storage time must be nonnegative")
-    beta = np.exp(-t / params.tau)
-    floor = (1.0 - beta**2) * (0.5 + params.excess_noise_rate)
-    cov = beta**2 * atomic_state.cov + floor * np.eye(atomic_state.mean.size)
-    return GaussianState(atomic_state.mode_names, beta * atomic_state.mean, cov)
 
 
 def _decayed(channel, t, params):

@@ -28,7 +28,6 @@ __all__ = [
     "vacuum_state",
     "coherent_state",
     "single_mode",
-    "mean_photon_number",
     "apply_symplectic",
     "displace",
     "HomodyneUpdate",
@@ -70,7 +69,7 @@ def symplectic_eigenvalues(cov):
 
 
 class GaussianState:
-    """Mean vector and covariance matrix over an ordered tuple of mode names."""
+    """Finite mean vector and symmetric covariance over an ordered tuple of mode names."""
 
     __slots__ = ("mode_names", "mean", "cov")
 
@@ -89,8 +88,10 @@ class GaussianState:
                 f"moments of shape {mean.shape}/{cov.shape} do not match "
                 f"{len(names)} modes"
             )
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise ValueError("mean and covariance must be finite")
         scale = max(1.0, np.abs(cov).max())
-        if np.abs(cov - cov.T).max() > SYMMETRY_TOL * scale:
+        if not (np.abs(cov - cov.T).max() <= SYMMETRY_TOL * scale):
             raise ValueError("covariance matrix is not symmetric")
 
         object.__setattr__(self, "mode_names", names)
@@ -152,10 +153,6 @@ class GaussianState:
         i = self.quad_index(mode, quadrature)
         return float(self.cov[i, i])
 
-    def mode_mean(self, mode):
-        ix, ip = self.quad_indices(mode)
-        return float(self.mean[ix]), float(self.mean[ip])
-
     def __repr__(self):
         names = ", ".join(self.mode_names)
         return f"GaussianState([{names}], mean={self.mean!r})"
@@ -174,7 +171,7 @@ def assert_physical(state, tol=UNCERTAINTY_TOL):
 
 @dataclass(frozen=True)
 class SymplecticMap:
-    """Linear phase-space map ``v -> S v`` with symplectic ``S`` (read-only)."""
+    """Linear phase-space map ``v -> S v`` with finite symplectic ``S`` (read-only)."""
 
     matrix: np.ndarray
 
@@ -182,9 +179,11 @@ class SymplecticMap:
         s = np.array(self.matrix, dtype=float)
         if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] % 2:
             raise ValueError(f"matrix shape {s.shape} is not 2M x 2M")
+        if not np.isfinite(s).all():
+            raise ValueError("matrix must be finite")
         omega = symplectic_form(s.shape[0] // 2)
         defect = np.abs(s.T @ omega @ s - omega).max()
-        if defect > SYMPLECTIC_TOL:
+        if not (defect <= SYMPLECTIC_TOL):
             raise ValueError(
                 f"matrix is not symplectic (defect {defect:.3e} > "
                 f"{SYMPLECTIC_TOL})"
@@ -195,10 +194,6 @@ class SymplecticMap:
     @property
     def n_modes(self):
         return self.matrix.shape[0] // 2
-
-    @classmethod
-    def identity(cls, n_modes):
-        return cls(np.eye(2 * n_modes))
 
     @classmethod
     def rotation(cls, theta):
@@ -256,14 +251,6 @@ def _quads(indices):
     return [q for i in indices for q in (2 * i, 2 * i + 1)]
 
 
-def mean_photon_number(state, mode):
-    """Mean of ``(X^2 + P^2 - 1) / 2`` in the given mode."""
-    mx, mp = state.mode_mean(mode)
-    vx = state.quad_var(mode, "x")
-    vp = state.quad_var(mode, "p")
-    return 0.5 * (mx**2 + mp**2 + vx + vp - 1.0)
-
-
 def apply_symplectic(state, smap):
     """Evolve the state: mean -> S mean, cov -> S cov S^T."""
     if smap.n_modes != state.n_modes:
@@ -282,7 +269,9 @@ def apply_symplectic(state, smap):
 
 
 def displace(state, mode, dx, dp):
-    """Shift one mode's mean by (dx, dp); the covariance is untouched."""
+    """Shift one mode's mean by finite (dx, dp); the covariance is untouched."""
+    if not (np.isfinite(dx) and np.isfinite(dp)):
+        raise ValueError(f"shifts must be finite, got ({dx}, {dp})")
     ix, ip = state.quad_indices(mode)
     mean = state.mean.copy()
     mean[ix] += dx
@@ -338,13 +327,15 @@ class HomodyneUpdate:
 
         The outcome is drawn from the Gaussian marginal of the measured
         quadrature (consuming exactly one standard normal from ``rng``),
-        or taken as ``fixed_outcome``.  A zero-variance quadrature can
-        only be "measured" with a fixed outcome.  The mean is a new,
-        writable array.
+        or taken as ``fixed_outcome``, which must be finite.  A
+        zero-variance quadrature can only be "measured" with a fixed
+        outcome.  The mean is a new, writable array.
         """
         degenerate = self.var_q <= 0.0
         if fixed_outcome is not None:
             outcome = float(fixed_outcome)
+            if not np.isfinite(outcome):
+                raise ValueError(f"fixed_outcome must be finite, got {outcome}")
         else:
             if degenerate:
                 raise ValueError(

@@ -42,7 +42,6 @@ __all__ = [
     "StorageParams",
     "ChannelSummary",
     "interaction_map",
-    "initial_atoms",
     "store_update",
     "store_conditional",
     "store_average",
@@ -50,7 +49,6 @@ __all__ = [
     "readout_map",
     "pi_half_pulse",
     "reconstruct_atomic_variance",
-    "optimal_feedback_gain",
     "reverse_readout",
 ]
 
@@ -120,50 +118,14 @@ class ChannelSummary:
 
 
 def interaction_map(coupling):
-    """QND interaction on (light, atoms): X_l += k P_a, X_a += k P_l.
-
-    The map is read-only, so one is built per distinct coupling and shared.
-    """
+    """QND interaction on (light, atoms): X_l += k P_a, X_a += k P_l."""
     k = float(coupling)
     if not np.isfinite(k):
         raise ValueError("coupling must be finite")
-    return _interaction_map(struct.pack("d", k))
-
-
-# Keyed on the coupling's bytes, so that -0.0 and 0.0 (equal as floats,
-# hence as plain cache keys) get separate maps.
-@functools.lru_cache(maxsize=64)
-def _interaction_map(coupling):
-    (k,) = struct.unpack("d", coupling)
     s = np.eye(4)
     s[0, 3] = k  # X_light picks up k * P_atom
     s[2, 1] = k  # X_atom picks up k * P_light
     return SymplecticMap(s)
-
-
-@functools.lru_cache(maxsize=64)
-def _aux_interaction(coupling):
-    """The interaction of (aux light, atoms) in slots (2, 1) of three modes.
-
-    Keyed on the float: a positive coupling has no signed zero.
-    """
-    return interaction_map(coupling).embed([2, 1], 3)
-
-
-@functools.cache
-def _quarter_turn():
-    """The quarter-cycle rotation of slot 1 of (light, atoms)."""
-    return SymplecticMap.rotation(np.pi / 2).embed([1], 2)
-
-
-@functools.cache
-def _half_turn():
-    return SymplecticMap.rotation(np.pi)
-
-
-def initial_atoms(params):
-    """Fresh atomic mode with the configured initial variances."""
-    return single_mode(ATOMS, var_x=params.atom_var_x, var_p=params.atom_var_p)
 
 
 def _feedback_average(joint, measured_mode, quadrature, targets):
@@ -346,12 +308,6 @@ def reconstruct_atomic_variance(readout_var, readout_coupling):
     return value
 
 
-def optimal_feedback_gain(coupling, atom_var_p):
-    """Gain minimizing the stored P variance for coherent inputs."""
-    k, v = coupling, atom_var_p
-    return 2.0 * k * v / (1.0 + 2.0 * k**2 * v)
-
-
 def reverse_readout(
     atomic_state,
     params,
@@ -422,14 +378,14 @@ def _readout_steps(atom_name, atom_cov, aux, knobs):
     joint = apply_symplectic(tensor(vacuum_state([READOUT]), atoms), interaction)
 
     # auxiliary measurement of the (post-interaction) atomic X
-    quarter = _quarter_turn()
+    quarter = SymplecticMap.rotation(np.pi / 2).embed([1], 2)
     joint = apply_symplectic(joint, quarter)
     joint = tensor(joint, aux_light)
-    aux_step = _aux_interaction(aux_coupling)
+    aux_step = interaction_map(aux_coupling).embed([2, 1], 3)
     joint = apply_symplectic(joint, aux_step)
     lin, keep, retrieved = _feedback_average(joint, AUX, "x", [(READOUT, "p", feedback)])
     light = [keep[i] for i in retrieved.quad_indices(READOUT)]
-    half = _half_turn()
+    half = SymplecticMap.rotation(np.pi)
     retrieved = apply_symplectic(partial_trace(retrieved, [READOUT]), half)
     return (
         interaction.matrix, quarter.matrix, aux_step.matrix, lin, light,

@@ -19,7 +19,6 @@ from qmemsim.calibration import fit_pnl, synthesize_series
 from qmemsim.cli import main as cli_main
 from qmemsim.decoherence import (
     DecayParams,
-    apply_decay,
     calibrate_tau,
     crossing_time,
     fidelity_vs_time,
@@ -50,6 +49,7 @@ from qmemsim.microscopic import (
 )
 from qmemsim.montecarlo import ARM_P, ARM_X, estimate_channel, run_series
 from qmemsim.protocol import ChannelSummary, StorageParams, store_channel
+from test_decoherence import apply_decay
 
 
 def report(number, detail):

@@ -1,5 +1,7 @@
 """Calibration tests: synthesis statistics, through-origin fit, sensitivity."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,9 +10,7 @@ from hypothesis import strategies as st
 from qmemsim.calibration import (
     COLUMNS,
     CalibrationSeries,
-    coupling_squared_from_noise,
     fit_pnl,
-    pnl_sensitivity,
     read_points_csv,
     synthesize_series,
 )
@@ -20,6 +20,44 @@ from qmemsim.gaussian import apply_symplectic, partial_trace, vacuum_state
 from qmemsim.protocol import ChannelSummary, interaction_map
 
 JX = np.linspace(0.1, 2.0, 10)
+
+
+def coupling_squared_from_noise(out_var, in_var):
+    """Normalized excess noise ratio: (out - in) / in.
+
+    With variances in shot-noise units this equals the coupling squared,
+    i.e. ``2 var(X_out) - 1`` for a unit shot noise.
+    """
+    if in_var <= 0:
+        raise ValueError("shot-noise variance must be positive")
+    return (out_var - in_var) / in_var
+
+
+def pnl_sensitivity(channel, cset, rescale=0.10):
+    """Fidelity excursion under a misestimated projection noise level.
+
+    If the true noise level is ``(1 + eps)`` times the assumed one, the
+    inferred coupling scales by ``1/sqrt(1 + eps)``, so the reported
+    gains shrink by that factor while the reported variances shrink by
+    ``1/(1 + eps)``; the two effects push the fidelity in opposite
+    directions.  Returns the fidelities at ``eps = -rescale, 0, +rescale``.
+    """
+
+    def rescaled(eps):
+        factor = 1.0 + eps
+        return replace(
+            channel,
+            gain_x=channel.gain_x / np.sqrt(factor),
+            gain_p=channel.gain_p / np.sqrt(factor),
+            var_x=channel.var_x / factor,
+            var_p=channel.var_p / factor,
+        )
+
+    return (
+        average_fidelity(cset, rescaled(-rescale)),
+        average_fidelity(cset, channel),
+        average_fidelity(cset, rescaled(+rescale)),
+    )
 
 
 def exact_points(slope, quad_coeff, jx_values, se=0.01):
@@ -233,8 +271,6 @@ class TestSensitivity:
         assert abs(high - nominal) < 0.04
         # and are smaller than the variance-only effect, which lacks the
         # compensating gain shift
-        from dataclasses import replace
-
         var_only = average_fidelity(
             cset, replace(channel, var_x=channel.var_x / 1.1,
                           var_p=channel.var_p / 1.1)

@@ -201,6 +201,18 @@ class TestFidelity:
             0.8165, abs=5e-4
         )
 
+    @pytest.mark.parametrize("var_x, var_p", [(0.001, 0.001), (0.5, 0.5 - 2e-8)])
+    def test_unphysical_channel_exits_two(self, tmp_path, capsys, var_x, var_p):
+        # var_x * var_p below 1/4 once read a fidelity of 1.996
+        config = {"gain_x": 1, "gain_p": 1, "var_x": var_x, "var_p": var_p}
+        assert run(tmp_path, "fidelity", config) == 2
+        assert "'var_x' or 'var_p'" in capsys.readouterr().err
+        assert not any((tmp_path / "out").iterdir())
+
+    def test_channel_on_the_uncertainty_floor_runs(self, tmp_path):
+        config = {"gain_x": 1, "gain_p": 1, "var_x": 0.5, "var_p": 0.5}
+        assert run(tmp_path, "fidelity", config) == 0
+
     def test_partial_channel_rejected(self, tmp_path, capsys):
         assert run(tmp_path, "fidelity", {"gain_x": 1.0}) == 2
         assert "gain" in capsys.readouterr().err

@@ -10,7 +10,6 @@ from numpy.testing import assert_allclose
 
 from qmemsim.decoherence import (
     DecayParams,
-    apply_decay,
     calibrate_tau,
     crossing_time,
     decay_channel,
@@ -18,10 +17,20 @@ from qmemsim.decoherence import (
 )
 from qmemsim import fidelity
 from qmemsim.fidelity import CoherentSet, average_fidelity, optimize_classical_gain
-from qmemsim.gaussian import assert_physical, single_mode
+from qmemsim.gaussian import GaussianState, assert_physical, single_mode
 from qmemsim.protocol import StorageParams, store_channel
 
 DECAY = DecayParams(tau=2e-3, excess_noise_rate=0.3)
+
+
+def apply_decay(atomic_state, t, params):
+    """Stored state after a storage delay of ``t`` seconds."""
+    if t < 0:
+        raise ValueError("storage time must be nonnegative")
+    beta = np.exp(-t / params.tau)
+    floor = (1.0 - beta**2) * (0.5 + params.excess_noise_rate)
+    cov = beta**2 * atomic_state.cov + floor * np.eye(atomic_state.mean.size)
+    return GaussianState(atomic_state.mode_names, beta * atomic_state.mean, cov)
 
 
 def stored_state():

