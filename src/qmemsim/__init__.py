@@ -17,7 +17,9 @@ Modules by task:
 * :mod:`qmemsim.cli` - batch front end (``qmemsim --help``).
 
 The package needs numpy alone: importing it and all five subcommands
-load no scipy module (``tests/test_imports.py`` checks this).  The scipy
+load no scipy module.  ``import qmemsim`` loads no numpy either: the
+names in ``__all__`` resolve on first access, and each subcommand imports
+only the modules it runs (``tests/test_imports.py`` checks both).  The scipy
 routines it once called are ported bit for bit in
 :mod:`qmemsim._solvers`, and scipy is a test-only oracle for them.
 
@@ -26,35 +28,43 @@ as the 2-d product quadrature, and the small helpers that nothing in the
 package calls (the README's Tests section lists both).
 """
 
-from .fidelity import (
-    CoherentSet,
-    average_fidelity,
-    classical_fidelity,
-    classical_variance_bound,
-    optimize_classical_gain,
-    overlap,
-)
-from .gaussian import (
-    GaussianState,
-    SymplecticMap,
-    apply_symplectic,
-    coherent_state,
-    displace,
-    homodyne_measure,
-    partial_trace,
-    tensor,
-    vacuum_state,
-)
-from .protocol import (
-    ChannelSummary,
-    StorageParams,
-    interaction_map,
-    pi_half_pulse,
-    readout_map,
-    reconstruct_atomic_variance,
-    reverse_readout,
-    store_channel,
-    store_conditional,
-)
+import importlib
+
+#: public name -> the submodule that defines it, imported at the name's
+#: first access through the module ``__getattr__`` (PEP 562)
+_HOMES = {
+    **dict.fromkeys(
+        ["CoherentSet", "average_fidelity", "classical_fidelity",
+         "classical_variance_bound", "optimize_classical_gain", "overlap"],
+        "fidelity",
+    ),
+    **dict.fromkeys(
+        ["GaussianState", "SymplecticMap", "apply_symplectic", "coherent_state",
+         "displace", "homodyne_measure", "partial_trace", "tensor", "vacuum_state"],
+        "gaussian",
+    ),
+    **dict.fromkeys(
+        ["ChannelSummary", "StorageParams", "interaction_map", "pi_half_pulse",
+         "readout_map", "reconstruct_atomic_variance", "reverse_readout",
+         "store_channel", "store_conditional"],
+        "protocol",
+    ),
+}
+
+__all__ = list(_HOMES)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    try:
+        home = _HOMES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{home}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

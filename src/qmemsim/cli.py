@@ -20,6 +20,8 @@ Each ``compute_<name>(cfg)`` returns its outputs as data, ``{file name:
 value}``: a table ``(header, block, ...)`` for ``.csv``, a document dict
 for ``.json`` and a zero-argument drawer for ``.svg``.  ``main`` alone
 writes them, choosing the writer from the file suffix (``_WRITERS``).
+Each ``compute_<name>`` imports the modules it runs, so a subcommand loads
+no module that only another one needs.
 """
 
 from __future__ import annotations
@@ -28,22 +30,16 @@ import argparse
 import contextlib
 import dataclasses
 import functools
+import gc
 import itertools
 import json
+import os
 import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 
-from . import calibration, decoherence, microscopic, montecarlo, plots
-from .fidelity import (
-    CoherentSet,
-    average_fidelity,
-    classical_fidelity,
-    classical_variance_bound,
-    optimize_classical_gain,
-)
 from .protocol import ChannelSummary, StorageParams
 
 ALL_FORMATS = ("csv", "json", "svg")
@@ -57,6 +53,10 @@ MAX_CURVE_POINTS = 100_000
 # MAX_CURVE_POINTS.
 MAX_TRIALS = 1_000_000  # per verification arm
 MAX_HISTOGRAM_BINS = 100_000
+# montecarlo's MIN_TRIALS and MIN_BINS, which the store config reads before
+# montecarlo is imported (tests/test_cli.py ties the two)
+MIN_TRIALS = 100
+MIN_HISTOGRAM_BINS = 5
 MAX_JX_POINTS = 1_000_000
 MAX_CYCLES = 10**12  # sets only the chi-squared degrees of freedom
 MAX_TIME_BINS = 1_000_000  # bins and sweep_bins
@@ -192,14 +192,16 @@ def _storage_params(cfg):
 STORE_FIELDS = {
     "input_x": (_finite, _REQUIRED),
     "input_p": (_finite, _REQUIRED),
-    "n_trials": (_count(montecarlo.MIN_TRIALS, MAX_TRIALS), 10_000),
+    "n_trials": (_count(MIN_TRIALS, MAX_TRIALS), 10_000),
     "seed": (_integer, 0),
-    "histogram_bins": (_count(montecarlo.MIN_BINS, MAX_HISTOGRAM_BINS), 60),
+    "histogram_bins": (_count(MIN_HISTOGRAM_BINS, MAX_HISTOGRAM_BINS), 60),
     **_STORAGE_FIELDS,
 }
 
 
 def compute_store(cfg):
+    from . import montecarlo, plots
+
     input_mean = (cfg["input_x"], cfg["input_p"])
     params = _storage_params(cfg)
     k_r = params.readout_coupling
@@ -287,6 +289,14 @@ FIDELITY_FIELDS = {
 
 
 def compute_fidelity(cfg):
+    from .fidelity import (
+        CoherentSet,
+        average_fidelity,
+        classical_fidelity,
+        classical_variance_bound,
+        optimize_classical_gain,
+    )
+
     channel_keys = ("gain_x", "gain_p", "var_x", "var_p")
     channel_values = [cfg[k] for k in channel_keys]
     configured = all(v is not None for v in channel_values)
@@ -363,6 +373,8 @@ CALIBRATE_FIELDS = {
 
 
 def compute_calibrate(cfg):
+    from . import calibration
+
     if cfg["series_csv"] is not None:
         source = ("series_csv",)
         with _bad_value(*source):
@@ -408,6 +420,8 @@ MICROSCOPIC_FIELDS = {
 
 
 def compute_microscopic(cfg):
+    from . import microscopic
+
     out_of_range = "the couplings over- or underflow"
     with _bad_value("target_coupling", "bins", "larmor_frequency", "pulse_duration",
                     "collective_spin", what=out_of_range):
@@ -487,6 +501,9 @@ def _curve_times(cfg):
 
 
 def compute_lifetime(cfg):
+    from . import decoherence, plots
+    from .fidelity import CoherentSet, optimize_classical_gain
+
     params = _storage_params(cfg)
     with _bad_value("t_max_ms", "t_step_ms"):
         times = _curve_times(cfg)
@@ -564,7 +581,8 @@ def _build_parser():
 
 
 def _fail(code, message):
-    print(message, file=sys.stderr)
+    with contextlib.suppress(BrokenPipeError):  # see console_main
+        print(message, file=sys.stderr)
     return code
 
 
@@ -618,5 +636,30 @@ def _run(args):
     return 0
 
 
+def console_main():
+    """Run ``main`` as a process: the ``qmemsim`` script and ``python -m qmemsim.cli``.
+
+    A closed pipe on stdout or stderr (``qmemsim ... | true``) loses that
+    stream's text but not the exit code: only a successful run writes to
+    stdout, once its files are complete, and ``_fail`` ignores a closed
+    stderr.  A closed stream is pointed at ``os.devnull``, so that the
+    flush at exit raises nothing.  ``gc.freeze()`` puts every live object
+    out of the collector's reach, so the collections at interpreter exit
+    have little to traverse.
+    ``main`` changes no process state, since tests call it in-process.
+    """
+    try:
+        code = main()
+    except BrokenPipeError:
+        code = 0
+    for stream in sys.stdout, sys.stderr:
+        try:
+            stream.flush()
+        except BrokenPipeError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_main()

@@ -14,8 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# fidelity's functions are called through the module, as montecarlo calls
+# rng's, so that a wrapper set on the module attribute (perfbench's tracer)
+# sees every call, whichever of the two modules was imported first
+from . import fidelity
 from ._solvers import brentq
-from .fidelity import average_fidelities, average_fidelity, optimize_classical_gain
 from .protocol import ChannelSummary, store_channel
 
 __all__ = [
@@ -94,7 +97,7 @@ def fidelity_vs_time(cset, storage_params, decay, times):
     finite = np.isfinite(decayed).all(axis=0)
     if not finite.all():  # the summary's own check names the quantity
         ChannelSummary(*(column[np.argmin(finite)] for column in decayed))
-    return average_fidelities(cset, *decayed)
+    return fidelity.average_fidelities(cset, *decayed)
 
 
 def calibrate_tau(cset, storage_params, crossing, excess_noise_rate=0.0):
@@ -108,12 +111,12 @@ def calibrate_tau(cset, storage_params, crossing, excess_noise_rate=0.0):
     never beats it and ``ValueError`` if it still beats it at the shortest
     ``tau`` of the bracket (the crossing is too short to calibrate).
     """
-    _, f_class = optimize_classical_gain(cset.n_min, cset.n_max)
+    _, f_class = fidelity.optimize_classical_gain(cset.n_min, cset.n_max)
     base = store_channel(storage_params)
 
     def gap(tau):
-        params = DecayParams(tau, excess_noise_rate)
-        return average_fidelity(cset, decay_channel(base, crossing, params)) - f_class
+        decayed = decay_channel(base, crossing, DecayParams(tau, excess_noise_rate))
+        return fidelity.average_fidelity(cset, decayed) - f_class
 
     lo, hi = TAU_BRACKET
     if gap(hi) <= 0:

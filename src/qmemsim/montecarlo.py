@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from . import kernels, rng
 from .gaussian import coherent_state
 from .protocol import (
     VERIFY,
@@ -31,7 +31,6 @@ from .protocol import (
     store_conditional,
     store_update,
 )
-from .rng import stream_key, trial_normals
 
 __all__ = [
     "ARM_P",
@@ -138,13 +137,13 @@ def run_series(input_mean, params, arm, n_trials, seed, chunk_size=1 << 16):
     mean1, sd1, offset2, slope2, sd2 = _series_coefficients(
         input_mean, params, arm
     )
-    key = stream_key(seed, _ARM_TAGS[arm])
+    key = rng.stream_key(seed, _ARM_TAGS[arm])
 
     feedback = np.empty(n_trials)
     verification = np.empty(n_trials)
     for start in range(0, n_trials, chunk_size):
         rows = slice(start, min(start + chunk_size, n_trials))
-        z = trial_normals(key, start, rows.stop - start, width=2)
+        z = rng.trial_normals(key, start, rows.stop - start, width=2)
         kernels.two_stage_outcomes(
             z[:, 0], z[:, 1], mean1, sd1, offset2, slope2, sd2,
             feedback[rows], verification[rows],

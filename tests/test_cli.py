@@ -4,6 +4,7 @@ import csv
 import hashlib
 import itertools
 import json
+import os
 import re
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qmemsim
-from qmemsim import _csv, cli
+from qmemsim import _csv, cli, montecarlo
 from qmemsim.cli import _write_table, main
 from qmemsim.fidelity import MAX_NODES
 
@@ -166,6 +167,11 @@ class TestStore:
         assert run(tmp_path, "store", {**STORE_CONFIG, key: value}) == 2
         assert key in capsys.readouterr().err
         assert not any((tmp_path / "out").iterdir())
+
+    def test_minimums_are_the_library_minimums(self):
+        # cli names them itself, so that its import loads no montecarlo
+        assert cli.MIN_TRIALS == montecarlo.MIN_TRIALS
+        assert cli.MIN_HISTOGRAM_BINS == montecarlo.MIN_BINS
 
 
 class TestFidelity:
@@ -534,6 +540,39 @@ def test_failed_write_removes_earlier_outputs(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "second.csv" in err and "nan in CSV output" in err
     assert not any((tmp_path / "out").iterdir())
+
+
+@pytest.mark.parametrize(
+    "stream, config, env, code",
+    [
+        ("stdout", {"n_max": 4.0}, {}, 0),
+        ("stdout", {"n_max": 4.0}, {"PYTHONUNBUFFERED": "1"}, 0),
+        ("stderr", {"n_max": "four"}, {}, 2),
+    ],
+)
+def test_closed_pipe_loses_only_the_message(tmp_path, stream, config, env, code):
+    """A reader that has gone (``qmemsim ... | true``) changes no exit code
+    and prints no traceback: a run loses its listing of the files written,
+    a failure its error line."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    src = Path(qmemsim.__file__).resolve().parents[1]
+    read, write = os.pipe()
+    os.close(read)
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, stream: write}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qmemsim.cli", "fidelity",
+             "--config", str(path), "--out", str(tmp_path / "out")],
+            **streams, text=True, timeout=60,
+            env={"PATH": "", "PYTHONPATH": str(src), **env},
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == code
+    assert (proc.stderr, proc.stdout) == (None, "") if stream == "stderr" else ("", None)
+    written = sorted(p.name for p in (tmp_path / "out").iterdir())
+    assert written == ([] if code else ["boundaries.csv", "fidelity.csv", "fidelity.json"])
 
 
 def write_reference(path, table):
