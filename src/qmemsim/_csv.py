@@ -94,13 +94,13 @@ def write_table(path, table):
     iterables such as a list of labels or ``itertools.repeat``; like
     ``zip``, it ends with its shortest column.  Float arrays are written as
     ``{:.17g}`` and every other value with ``str``; iterators are
-    consumed, so a table is written once.  Raises ``ValueError`` on a NaN
-    or infinity, before opening ``path``.
+    consumed, so a table is written once.  Raises ``FloatingPointError``
+    on a NaN or infinity, before opening ``path``.
     """
     header, *blocks = table
     for column in (c for block in blocks for c in block):
         if _is_float(column) and not np.isfinite(column).all():
-            raise ValueError(f"{column[~np.isfinite(column)][0]} in CSV output")
+            raise FloatingPointError(f"{column[~np.isfinite(column)][0]} in CSV output")
     with open(path, "w", newline="") as text:  # opened for its default encoding
         fh, encoding = text.buffer, text.encoding
         fh.write((",".join(header) + "\n").encode(encoding))

@@ -11,10 +11,11 @@ Subcommands::
 Each run is a pure function of (config, seed): outputs carry no
 timestamps, floats are written with 17 significant digits, and CSV files
 use comma separators with LF line endings.  Exit status is 0 on success,
-2 for configuration errors (the message names the offending key), 3 for
-numerical failures such as quadrature or fit non-convergence, overflow,
-or a result that is not finite; either prints one line to stderr and no
-warning.
+2 for configuration errors (the message names the offending key, or
+``--config``, ``--out`` or the output file that could not be read, made or
+written), 3 for numerical failures such as quadrature or fit
+non-convergence, overflow, or a result that is not finite; either prints
+one line to stderr and no warning, and leaves no file that the run wrote.
 
 Each ``compute_<name>(cfg)`` returns its outputs as data, ``{file name:
 value}``: a table ``(header, block, ...)`` for ``.csv``, a document dict
@@ -60,17 +61,14 @@ MIN_HISTOGRAM_BINS = 5
 MAX_JX_POINTS = 1_000_000
 MAX_CYCLES = 10**12  # sets only the chi-squared degrees of freedom
 MAX_TIME_BINS = 1_000_000  # bins and sweep_bins
-#: exceptions from compute or writing that mean a numerical failure (exit 3)
+#: exceptions that mean a numerical failure (exit 3)
 _NUMERICAL = (RuntimeError, ArithmeticError, np.linalg.LinAlgError)
-
-
-class ConfigError(Exception):
-    pass
 
 
 @contextlib.contextmanager
 def _bad_value(*keys, what="a value over- or underflows"):
-    """Name the config ``keys`` in any failure raised inside the block.
+    """Name the config ``keys`` (or flags or files) in any failure raised
+    inside the block.
 
     ``ValueError`` and ``OSError`` leave as ``ValueError`` (exit 2), a
     numerical failure (``_NUMERICAL``) as ``FloatingPointError`` (exit 3);
@@ -99,8 +97,11 @@ def _write_table(path, table):
 
 
 def _write_json(path, document):
-    """Raises ``ValueError`` on a NaN or infinity, before opening ``path``."""
-    text = json.dumps(document, indent=2, sort_keys=True, allow_nan=False)
+    """Raises ``FloatingPointError`` on a NaN or infinity, before opening ``path``."""
+    try:
+        text = json.dumps(document, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise FloatingPointError(exc) from exc
     with open(path, "w") as fh:
         fh.write(text + "\n")
 
@@ -116,22 +117,22 @@ _WRITERS = {".csv": _write_table, ".json": _write_json, ".svg": _write_svg}
 _REQUIRED = object()
 
 
-def _resolve(command, config, fields):
+def _resolve(config, fields):
     """The whole config: every key converted and checked, read or not."""
     unknown = set(config) - set(fields)
     if unknown:
-        raise ConfigError(f"{command}: unknown config key {sorted(unknown)[0]!r}")
+        raise ValueError(f"unknown config key {sorted(unknown)[0]!r}")
     resolved = {}
     for key, (convert, default) in fields.items():
         if key not in config:
             if default is _REQUIRED:
-                raise ConfigError(f"{command}: missing required config key {key!r}")
+                raise ValueError(f"missing required config key {key!r}")
             resolved[key] = default
             continue
         try:
             resolved[key] = convert(config[key])
         except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"{command}: bad value for {key!r}: {exc}")
+            raise ValueError(f"bad value for {key!r}: {exc}")
     return resolved
 
 
@@ -597,43 +598,41 @@ def main(argv=None):
 def _run(args):
     formats = tuple(args.format) if args.format else ALL_FORMATS
     fields, compute = _COMMANDS[args.command]
+    written = []  # each output path, before its writer runs
     try:
         config = {}
         if args.config is not None:
-            try:
-                config = json.loads(Path(args.config).read_text())
-            except FileNotFoundError:
-                raise ConfigError(f"config file not found: {args.config}")
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config is not valid JSON: {exc}")
-            if not isinstance(config, dict):
-                raise ConfigError("config must be a JSON object")
+            with _bad_value("--config"):
+                try:
+                    config = json.loads(args.config.read_text())
+                except RecursionError as exc:  # too deep, not a numerical failure
+                    raise ValueError(exc) from exc
+                if not isinstance(config, dict):
+                    raise ValueError("config must be a JSON object")
         if getattr(args, "seed", None) is not None:  # store and calibrate
             config["seed"] = args.seed
-        args.out.mkdir(parents=True, exist_ok=True)
-        cfg = _resolve(args.command, config, fields)
-        outputs = compute(cfg)
-    except ConfigError as exc:
-        return _fail(2, f"error: {exc}")
+        with _bad_value("--out"):
+            args.out.mkdir(parents=True, exist_ok=True)
+        outputs = compute(_resolve(config, fields))
+        for name, value in outputs.items():
+            suffix = Path(name).suffix
+            if suffix[1:] in formats:
+                path = args.out / name
+                written.append(path)
+                with _bad_value(name):
+                    _WRITERS[suffix](path, value)
     except _NUMERICAL as exc:
-        return _fail(3, f"numerical failure: {exc}")
-    except ValueError as exc:  # a domain check in the library, for this config
-        return _fail(2, f"error: {args.command}: {exc}")
-    written = []
-    for name, value in outputs.items():
-        suffix = Path(name).suffix
-        if suffix[1:] in formats:
-            path = args.out / name
-            try:
-                _WRITERS[suffix](path, value)
-            except (ValueError, *_NUMERICAL) as exc:
-                for done in written:  # no partial set of outputs
-                    done.unlink()
-                return _fail(3, f"numerical failure: {path}: {exc}")
-            written.append(path)
-    for path in written:
-        print(path)
-    return 0
+        code, message = 3, f"numerical failure: {exc}"
+    except ValueError as exc:  # a bad input, or the library's domain check on it
+        code, message = 2, f"error: {args.command}: {exc}"
+    else:
+        for path in written:
+            print(path)
+        return 0
+    for path in written:  # no partial set of outputs
+        if path.is_file():  # a directory in the way is left alone
+            path.unlink()
+    return _fail(code, message)
 
 
 def console_main():

@@ -66,7 +66,7 @@ def test_lifetime_row_is_at_the_curve_cap():
 
 def test_every_row_config_resolves():
     for command, row_config, _, _ in caps.ROWS.values():
-        cli._resolve(command, row_config, cli._COMMANDS[command][0])
+        cli._resolve(row_config, cli._COMMANDS[command][0])
 
 
 def test_script_imports_neither_numpy_nor_qmemsim():

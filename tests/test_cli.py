@@ -1,6 +1,7 @@
 """End-to-end CLI tests: files, determinism, exit codes."""
 
 import csv
+import errno
 import hashlib
 import itertools
 import json
@@ -542,6 +543,81 @@ def test_failed_write_removes_earlier_outputs(tmp_path, monkeypatch, capsys):
     assert not any((tmp_path / "out").iterdir())
 
 
+def test_non_finite_json_exits_three_naming_it(tmp_path, monkeypatch, capsys):
+    def compute(cfg):
+        return {"first.csv": (["value"], (np.array([1.0]),)),
+                "second.json": {"x": np.inf}}
+
+    monkeypatch.setitem(cli._COMMANDS, "fidelity", (cli.FIDELITY_FIELDS, compute))
+    assert run(tmp_path, "fidelity") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: bad value for 'second.json': ")
+    assert not any((tmp_path / "out").iterdir())
+
+
+def _denied_writer(path, value):
+    raise PermissionError(errno.EACCES, "Permission denied", str(path))
+
+
+def _disk_full_writer(path, value):
+    """Creates ``path`` and writes part of it before the disk fills."""
+    with open(path, "w") as fh:
+        fh.write("partial")
+    raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+
+class TestUnreadableOrUnwritable:
+    """A config that cannot be read, an ``--out`` that cannot be made and an
+    output that cannot be written each exit 2 with one line naming the flag
+    or the file, and leave no file of the run in ``--out``."""
+
+    @staticmethod
+    def check(tmp_path, capsys, args, named):
+        code = main(["fidelity", "--out", str(tmp_path / "out"), *args])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.count("\n") == 1 and named in err and "Traceback" not in err
+        out = tmp_path / "out"
+        assert not (out.is_dir() and [p for p in out.rglob("*") if not p.is_dir()])
+
+    @pytest.mark.parametrize("out", ["F", "F/sub"])
+    def test_out_is_or_is_under_a_file(self, tmp_path, capsys, out):
+        (tmp_path / "F").write_text("kept")
+        self.check(tmp_path, capsys, ["--out", str(tmp_path / out)], "'--out'")
+        assert (tmp_path / "F").read_text() == "kept"
+
+    def test_out_a_file_in_a_fresh_interpreter(self, tmp_path):
+        (tmp_path / "out").write_text("kept")
+        code, err = run_subprocess(tmp_path, "fidelity", {})
+        assert code == 2, err
+        assert err.count("\n") == 1 and "'--out'" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("make", [
+        Path.mkdir,
+        lambda path: None,
+        lambda path: path.write_text("[1]"),
+        lambda path: path.write_text('{"n_max": ' + "9" * 5000 + "}"),
+        lambda path: path.write_text("[" * 100_000 + "]" * 100_000),
+    ], ids=["directory", "missing", "array", "5000-digit-integer", "nested"])
+    def test_config(self, tmp_path, capsys, make):
+        make(tmp_path / "config.json")
+        self.check(tmp_path, capsys, ["--config", str(tmp_path / "config.json")],
+                   "'--config'")
+
+    def test_output_name_is_a_directory(self, tmp_path, capsys):
+        # fidelity.csv and boundaries.csv are written before fidelity.json
+        (tmp_path / "out" / "fidelity.json").mkdir(parents=True)
+        self.check(tmp_path, capsys, [], "'fidelity.json'")
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["fidelity.json"]
+        assert (tmp_path / "out" / "fidelity.json").is_dir()
+
+    @pytest.mark.parametrize("writer", [_denied_writer, _disk_full_writer])
+    def test_writer_fails(self, tmp_path, capsys, monkeypatch, writer):
+        monkeypatch.setitem(cli._WRITERS, ".json", writer)
+        self.check(tmp_path, capsys, [], "'fidelity.json'")
+        assert not any((tmp_path / "out").iterdir())
+
+
 @pytest.mark.parametrize(
     "stream, config, env, code",
     [
@@ -644,7 +720,7 @@ class TestTableWriter:
         drawn = list(table[1:])
         drawn.insert(data.draw(st.integers(0, len(drawn))), extra)
         path = tmp_path_factory.mktemp("table") / "table.csv"
-        with pytest.raises(ValueError, match="in CSV output"):
+        with pytest.raises(FloatingPointError, match="in CSV output"):
             _write_table(path, (table[0], *drawn))
         assert not path.exists()
 

@@ -45,7 +45,7 @@ def compute(command, config):
     fields, compute_outputs = cli._COMMANDS[command]
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return compute_outputs(cli._resolve(command, config, fields))
+            return compute_outputs(cli._resolve(config, fields))
     except (ValueError, *cli._NUMERICAL):
         return None
 
@@ -269,7 +269,7 @@ STORE_SMALL = {"input_x": 1.0, "input_p": -2.0, "n_trials": 2000}
 )
 def test_checks_fire_on_a_perturbed_output(command, config, perturb):
     outputs = compute(command, config)
-    config = cli._resolve(command, config, cli._COMMANDS[command][0])
+    config = cli._resolve(config, cli._COMMANDS[command][0])
     violations = FUZZ[command][1]
     assert violations(config, outputs) == []
     perturb(outputs)
