@@ -19,8 +19,9 @@ one line to stderr and no warning, and leaves no file that the run wrote.
 
 Each ``compute_<name>(cfg)`` returns its outputs as data, ``{file name:
 value}``: a table ``(header, block, ...)`` for ``.csv``, a document dict
-for ``.json`` and a zero-argument drawer for ``.svg``.  ``main`` alone
-writes them, choosing the writer from the file suffix (``_WRITERS``).
+for ``.json`` and, for ``.svg``, a drawer that writes the chart into the
+file it is given as ``file=``.  ``main`` alone opens and writes the
+files, choosing the writer from the file suffix (``_WRITERS``).
 Each ``compute_<name>`` imports the modules it runs, so a subcommand loads
 no module that only another one needs.
 """
@@ -48,7 +49,7 @@ ALL_FORMATS = ("csv", "json", "svg")
 MAX_CURVE_POINTS = 100_000
 # Caps on the count keys: the largest accepted run stays well under 1 GiB
 # peak RSS.  ci/caps.py runs each subcommand at its caps and checks its
-# peak: about 124 MiB for store (with histogram_bins at its cap too),
+# peak: about 83 MiB for store (with histogram_bins at its cap too),
 # 165 MiB for calibrate and 147 MiB for its re-fit from that run's
 # series_csv, 334 MiB for microscopic and 52 MiB for lifetime at
 # MAX_CURVE_POINTS.
@@ -107,7 +108,9 @@ def _write_json(path, document):
 
 
 def _write_svg(path, draw):
-    path.write_text(draw())
+    """``draw(file=...)`` writes the chart into ``path`` as it formats it."""
+    with open(path, "w") as fh:
+        draw(file=fh)
 
 
 #: file suffix -> writer of the value that compute returns for that file
@@ -121,7 +124,7 @@ def _resolve(config, fields):
     """The whole config: every key converted and checked, read or not."""
     unknown = set(config) - set(fields)
     if unknown:
-        raise ValueError(f"unknown config key {sorted(unknown)[0]!r}")
+        raise ValueError(f"unknown config key {_quoted(sorted(unknown)[0])}")
     resolved = {}
     for key, (convert, default) in fields.items():
         if key not in config:
@@ -136,8 +139,27 @@ def _resolve(config, fields):
     return resolved
 
 
+#: the longest config key or value that an error message quotes
+_QUOTED_CHARS = 60
+
+
+def _quoted(raw):
+    """``repr(raw)``, clipped with an ellipsis, so that a long or deeply nested
+    value still makes a one-line error of a bounded length."""
+    text = repr(raw)
+    return text if len(text) <= _QUOTED_CHARS else text[:_QUOTED_CHARS - 3] + "..."
+
+
+def _real(raw):
+    """``float(raw)``, whose own message would quote all of a long string."""
+    try:
+        return float(raw)
+    except ValueError:
+        raise ValueError(f"{_quoted(raw)} is not a number") from None
+
+
 def _finite(raw):
-    value = float(raw)
+    value = _real(raw)
     if not np.isfinite(value):
         raise ValueError(f"{value} is not finite")
     return value
@@ -159,7 +181,7 @@ def _nonnegative(raw):
 
 def _boolean(raw):
     if not isinstance(raw, bool):
-        raise ValueError(f"{raw!r} is not true or false")
+        raise ValueError(f"{_quoted(raw)} is not true or false")
     return raw
 
 
@@ -167,14 +189,14 @@ def _integer(raw):
     """A JSON integer, or a float with an integral value such as ``1e4``."""
     if type(raw) is int or (type(raw) is float and raw.is_integer()):
         return int(raw)
-    raise ValueError(f"{raw!r} is not an integer")  # bool, str, 3.9, inf, ...
+    raise ValueError(f"{_quoted(raw)} is not an integer")  # bool, str, 3.9, inf, ...
 
 
 def _count(low, high):
     def convert(raw):
         value = _integer(raw)
         if not low <= value <= high:
-            raise ValueError(f"{value} is outside [{low}, {high}]")
+            raise ValueError(f"{_quoted(value)} is outside [{low}, {high}]")
         return value
 
     return convert
@@ -182,7 +204,7 @@ def _count(low, high):
 
 #: the ``StorageParams`` fields, in their order and with their defaults
 _STORAGE_FIELDS = {
-    field.name: (float, field.default) for field in dataclasses.fields(StorageParams)
+    field.name: (_real, field.default) for field in dataclasses.fields(StorageParams)
 }
 
 
@@ -279,12 +301,12 @@ def compute_store(cfg):
 
 
 FIDELITY_FIELDS = {
-    "n_min": (float, 0.0),
-    "n_max": (float, 8.0),
-    "gain_x": (float, None),
-    "gain_p": (float, None),
-    "var_x": (float, None),
-    "var_p": (float, None),
+    "n_min": (_real, 0.0),
+    "n_max": (_real, 8.0),
+    "gain_x": (_real, None),
+    "gain_p": (_real, None),
+    "var_x": (_real, None),
+    "var_p": (_real, None),
     "quad_tol": (_positive, 1e-10),
 }
 
@@ -410,11 +432,11 @@ def compute_calibrate(cfg):
 
 
 MICROSCOPIC_FIELDS = {
-    "target_coupling": (float, 1.0),
+    "target_coupling": (_real, 1.0),
     "bins": (_count(1, MAX_TIME_BINS), 10_000),
-    "larmor_frequency": (float, 2 * np.pi * 322e3),
-    "pulse_duration": (float, 1e-3),
-    "collective_spin": (float, 1.2e12),
+    "larmor_frequency": (_real, 2 * np.pi * 322e3),
+    "pulse_duration": (_real, 1e-3),
+    "collective_spin": (_real, 1.2e12),
     "sweep": (_boolean, True),
     "sweep_bins": (_count(1, MAX_TIME_BINS), 4096),
 }
@@ -478,8 +500,8 @@ def compute_microscopic(cfg):
 
 
 LIFETIME_FIELDS = {
-    "n_min": (float, 0.0),
-    "n_max": (float, 10.0),
+    "n_min": (_real, 0.0),
+    "n_max": (_real, 10.0),
     "excess_noise_rate": (_nonnegative, 0.5),
     "crossing_ms": (_positive, 4.0),
     "t_max_ms": (_nonnegative, 6.0),

@@ -1,7 +1,10 @@
 """Self-contained SVG emission (no rendering dependencies).
 
 Charts are plain text with a fixed viewBox so byte-identical reruns are
-possible; only the data determines the output.
+possible; only the data determines the output.  Each chart is written to
+the text file object passed as ``file``, as it is formatted: a histogram's
+bars go out ``_BAR_BLOCK`` at a time, so the text in memory stays a few
+hundred KiB at any bin count.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ __all__ = ["histogram_svg", "line_svg"]
 
 _WIDTH, _HEIGHT = 640, 400
 _MARGIN = 50
+_BAR_BLOCK = 4096  # bars per write
 _HEAD = (f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_WIDTH} {_HEIGHT}">\n'
          '<rect width="100%" height="100%" fill="white"/>')
 
@@ -40,24 +44,29 @@ def _text(x, y, content, size, anchor=None, extra=""):
             f'font-size="{size}"{extra}>{content}</text>')
 
 
-def _svg(parts):
-    return "\n".join([_HEAD, *parts, "</svg>"]) + "\n"
+def _svg(file, parts):
+    """Write the header, each of ``parts`` on a line of its own, and the end tag."""
+    file.write(_HEAD + "\n")
+    for part in parts:
+        file.write(part + "\n")
+    file.write("</svg>\n")
 
 
-def histogram_svg(series, titles=None):
-    """Side-by-side histogram panels with dotted reference Gaussians.
+def histogram_svg(series, titles=None, *, file):
+    """Side-by-side histogram panels with dotted reference Gaussians, written
+    to the text file object ``file``.
 
     ``series`` is a list of :class:`~qmemsim.montecarlo.HistogramSeries`;
     each reference curve shows the ideal-memory outcome distribution,
     scaled to the panel's count axis.
     """
-    n_panels = len(series)
-    if n_panels == 0:
+    if not series:
         raise ValueError("no histogram series")
-    titles = titles or [f"series {i}" for i in range(n_panels)]
-    panel_w = (_WIDTH - 2 * _MARGIN) / n_panels
+    _svg(file, _histogram_parts(series, titles or [f"series {i}" for i in range(len(series))]))
 
-    parts = []
+
+def _histogram_parts(series, titles):
+    panel_w = (_WIDTH - 2 * _MARGIN) / len(series)
     y_top, y_bot = 40, _HEIGHT - _MARGIN
     for idx, (hist, title) in enumerate(zip(series, titles)):
         x_left = _MARGIN + idx * panel_w
@@ -77,24 +86,27 @@ def histogram_svg(series, titles=None):
         bar_x = edge_px[:-1][filled]
         bar_w = edge_px[1:][filled] - bar_x
         bar_y = _to_pixels(counts[filled], 0, peak, y_bot, y_top)
-        parts.append(_text(f"{(x_left + x_right) / 2:.1f}", 30, title, 13, "middle"))
-        parts.append(_axes(f"{x_left:.1f}", y_top, f"{x_right:.1f}", y_bot))
-        parts.extend(
-            f'<rect x="{x:.2f}" y="{y:.2f}" width="{w:.2f}" height="{h:.2f}" '
-            f'fill="#7799cc" stroke="#335588" stroke-width="0.5"/>'
-            for x, y, w, h in zip(bar_x, bar_y, bar_w, y_bot - bar_y)
-        )
+        bar_h = y_bot - bar_y
+        yield _text(f"{(x_left + x_right) / 2:.1f}", 30, title, 13, "middle")
+        yield _axes(f"{x_left:.1f}", y_top, f"{x_right:.1f}", y_bot)
+        for start in range(0, bar_x.size, _BAR_BLOCK):
+            block = slice(start, start + _BAR_BLOCK)
+            yield "\n".join(
+                f'<rect x="{x:.2f}" y="{y:.2f}" width="{w:.2f}" height="{h:.2f}" '
+                f'fill="#7799cc" stroke="#335588" stroke-width="0.5"/>'
+                for x, y, w, h in zip(bar_x[block].tolist(), bar_y[block].tolist(),
+                                      bar_w[block].tolist(), bar_h[block].tolist())
+            )
         pts = _points(_to_pixels(xs, edges[0], span, x_left, x_right),
                       _to_pixels(np.minimum(ys, peak), 0, peak, y_bot, y_top))
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="black" '
-                     f'stroke-dasharray="3,3"/>')
+        yield f'<polyline points="{pts}" fill="none" stroke="black" stroke-dasharray="3,3"/>'
         for v, px in ((edges[0], edge_px[0]), (edges[-1], edge_px[-1])):
-            parts.append(_text(f"{px:.1f}", y_bot + 16, f"{v:.2f}", 10, "middle"))
-    return _svg(parts)
+            yield _text(f"{px:.1f}", y_bot + 16, f"{v:.2f}", 10, "middle")
 
 
-def line_svg(x, curves, x_label="", y_label="", hlines=()):
-    """Line chart of one or more named curves over a common x grid.
+def line_svg(x, curves, x_label="", y_label="", hlines=(), *, file):
+    """Line chart of one or more named curves over a common x grid, written to
+    the text file object ``file``.
 
     ``curves`` maps label -> y array; ``hlines`` is a list of
     ``(label, value)`` horizontal reference lines (drawn dashed).
@@ -137,4 +149,4 @@ def line_svg(x, curves, x_label="", y_label="", hlines=()):
         mid = (y_top + y_bot) / 2
         rotate = f' transform="rotate(-90 14 {mid})"'
         parts.append(_text(14, mid, y_label, 12, "middle", rotate))
-    return _svg(parts)
+    _svg(file, parts)

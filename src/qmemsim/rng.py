@@ -10,7 +10,9 @@ Normals are produced by inverse-CDF transform of the block's uniforms,
 which keeps the draw count per trial fixed (rejection samplers do not).
 The inverse CDF is :func:`qmemsim._solvers.ndtri`, a numpy port of
 Cephes' ``ndtri`` that returns the same bytes as ``scipy.special.ndtri``,
-so sampling needs numpy alone.
+so sampling needs numpy alone.  It runs on blocks of ``_NDTRI_BLOCK_ROWS``
+trials, so its temporaries stay a fixed size however many trials a call
+draws; being elementwise, it gives the same bytes as on the whole range.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ __all__ = ["stream_key", "trial_normals", "DRAWS_PER_TRIAL"]
 
 #: doubles available per trial (one Philox counter block)
 DRAWS_PER_TRIAL = 4
+# trials per ndtri call; its temporaries are a few times this many doubles
+_NDTRI_BLOCK_ROWS = 4096
 
 # offset lifting Generator.random() output from [0, 1) to (0, 1) so the
 # inverse normal CDF never sees an endpoint
@@ -54,5 +58,9 @@ def trial_normals(key, start_trial, n_trials, width=2):
     bg.advance(int(start_trial))  # one counter block per trial
     u = Generator(bg).random(n_trials * DRAWS_PER_TRIAL)
     u = u.reshape(n_trials, DRAWS_PER_TRIAL)[:, :width]
-    return ndtri(u + _HALF_ULP)
+    normals = np.empty((n_trials, width))
+    for start in range(0, n_trials, _NDTRI_BLOCK_ROWS):
+        rows = slice(start, start + _NDTRI_BLOCK_ROWS)
+        normals[rows] = ndtri(u[rows] + _HALF_ULP)
+    return normals
 

@@ -34,13 +34,14 @@ def run(tmp_path, command, config=None, extra=()):
 
 
 def run_subprocess(tmp_path, command, config):
-    """Exit code and stderr of a CLI run in a fresh interpreter.
+    """Exit code and stderr of a CLI run in a fresh interpreter; ``config``
+    is a dict or its JSON text.
 
     For inputs that once hung or allocated without bound, so the run
     sits under a timeout.
     """
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
+    path.write_text(config if isinstance(config, str) else json.dumps(config))
     src = Path(qmemsim.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-m", "qmemsim.cli", command,
@@ -553,6 +554,23 @@ def test_non_finite_json_exits_three_naming_it(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: bad value for 'second.json': ")
     assert not any((tmp_path / "out").iterdir())
+
+
+@pytest.mark.parametrize("config, named", [
+    # nested as deep as the decoder allows at start-up
+    ('{"bins": ' + "[" * 980 + "]" * 980 + "}", "'bins'"),
+    (json.dumps({"bins": "x" * 5000}), "'bins'"),
+    (json.dumps({"bins": -10**4000}), "'bins'"),
+    (json.dumps({"sweep": ["x" * 5000]}), "'sweep'"),
+    (json.dumps({"pulse_duration": "x" * 5000}), "'pulse_duration'"),
+    (json.dumps({"x" * 5000: 1}), "unknown config key 'xxx"),
+], ids=["nested", "long-string", "long-integer", "long-list", "long-float-string",
+        "long-key"])
+def test_long_value_gives_a_short_error_line(tmp_path, config, named):
+    code, err = run_subprocess(tmp_path, "microscopic", config)
+    assert code == 2, err
+    assert err.count("\n") == 1 and len(err) <= 200 and named in err
+    assert "Traceback" not in err
 
 
 def _denied_writer(path, value):

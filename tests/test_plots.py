@@ -7,11 +7,19 @@ by 0.01 or one attribute by a byte fails here.
 """
 
 import hashlib
+import io
 
 import numpy as np
 import pytest
 
 from qmemsim import montecarlo, plots
+
+
+def drawn(chart, *args, **kwargs):
+    """The SVG text that ``chart`` writes."""
+    out = io.StringIO()
+    chart(*args, **kwargs, file=out)
+    return out.getvalue()
 
 
 def curve(n_points):
@@ -22,14 +30,14 @@ def curve(n_points):
 
 def line(n_points):
     t, fids = curve(n_points)
-    return plots.line_svg(t, {"memory fidelity": fids}, x_label="storage time (ms)",
-                          y_label="fidelity", hlines=[("classical limit", 0.6)])
+    return drawn(plots.line_svg, t, {"memory fidelity": fids}, x_label="storage time (ms)",
+                 y_label="fidelity", hlines=[("classical limit", 0.6)])
 
 
 def five_curves():
     t, fids = curve(61)
-    return plots.line_svg(t, {"a": fids, "b": fids[::-1], "c": 0.5 * fids, "d": fids - 0.1,
-                              "e": fids + 0.05})
+    return drawn(plots.line_svg, t, {"a": fids, "b": fids[::-1], "c": 0.5 * fids, "d": fids - 0.1,
+                                     "e": fids + 0.05})
 
 
 def histogram(bins, ref_mean):
@@ -41,15 +49,15 @@ def histogram(bins, ref_mean):
 
 
 def histograms(bins):
-    return plots.histogram_svg([histogram(bins, -0.25), histogram(bins, 0.5)],
-                               titles=["stored X (rotated readout)", "stored P (direct readout)"])
+    return drawn(plots.histogram_svg, [histogram(bins, -0.25), histogram(bins, 0.5)],
+                 titles=["stored X (rotated readout)", "stored P (direct readout)"])
 
 
 def degenerate():
     """Equal outcomes: ``make_histogram`` widens the range to one unit."""
     outcomes = np.full(100, 1.5)
     series = montecarlo.TrialSeries(montecarlo.ARM_P, outcomes, outcomes)
-    return plots.histogram_svg([montecarlo.make_histogram(series, bins=5, ref_mean=1.5)])
+    return drawn(plots.histogram_svg, [montecarlo.make_histogram(series, bins=5, ref_mean=1.5)])
 
 
 CHARTS = {
@@ -58,7 +66,7 @@ CHARTS = {
     "line-61": lambda: line(61),
     "line-601": lambda: line(601),
     "line-five-curves": five_curves,
-    "line-flat": lambda: plots.line_svg([2.0], {"flat": [0.5]}),
+    "line-flat": lambda: drawn(plots.line_svg, [2.0], {"flat": [0.5]}),
     "histogram-5": lambda: histograms(5),
     "histogram-60": lambda: histograms(60),
     "histogram-degenerate": degenerate,
@@ -84,6 +92,6 @@ def test_svg_bytes_are_pinned(chart):
 
 def test_charts_need_data():
     with pytest.raises(ValueError, match="no histogram"):
-        plots.histogram_svg([])
+        plots.histogram_svg([], file=io.StringIO())
     with pytest.raises(ValueError, match="no curves"):
-        plots.line_svg([0.0, 1.0], {})
+        plots.line_svg([0.0, 1.0], {}, file=io.StringIO())

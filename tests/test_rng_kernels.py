@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 from numpy.testing import assert_allclose
 
 from qmemsim import kernels
-from qmemsim.rng import stream_key, trial_normals
+from qmemsim._solvers import ndtri
+from qmemsim.rng import _NDTRI_BLOCK_ROWS, DRAWS_PER_TRIAL, stream_key, trial_normals
 
 
 def loop_bin_sweep(kappa_cos, kappa_sin, vectors):
@@ -63,6 +65,20 @@ class TestTrialNormals:
 
     def test_empty_range(self):
         assert trial_normals(stream_key(1), 0, 0).shape == (0, 2)
+
+    @pytest.mark.parametrize("start", [0, 70_001])
+    @pytest.mark.parametrize("n_trials", [1, _NDTRI_BLOCK_ROWS - 1, _NDTRI_BLOCK_ROWS,
+                                          _NDTRI_BLOCK_ROWS + 1, 3 * _NDTRI_BLOCK_ROWS + 7])
+    @pytest.mark.parametrize("width", [1, 2, 4])
+    def test_blocks_give_the_bytes_of_one_ndtri_call(self, start, n_trials, width):
+        key = stream_key(11, 1)
+        bg = Philox(key=key)
+        bg.advance(start)
+        u = Generator(bg).random(n_trials * DRAWS_PER_TRIAL).reshape(n_trials, -1)
+        whole = ndtri(u[:, :width] + 2.0**-54)
+        blocked = trial_normals(key, start, n_trials, width=width)
+        assert blocked.shape == whole.shape == (n_trials, width)
+        assert blocked.tobytes() == whole.tobytes()
 
 
 class TestKernelBackends:
