@@ -73,9 +73,10 @@ def _bad_value(*keys, what="a value over- or underflows"):
 
     ``ValueError`` and ``OSError`` leave as ``ValueError`` (exit 2), a
     numerical failure (``_NUMERICAL``) as ``FloatingPointError`` (exit 3);
-    both read "bad value for 'a', 'b' or 'c': " and the library's message.
-    numpy's errstate message names only the ufunc ("overflow encountered
-    in matmul"), so ``what`` stands in for it.
+    both read "bad value for 'a', 'b' or 'c': " and the library's message,
+    with an ``OSError``'s path clipped by :func:`_quoted`.  numpy's
+    errstate message names only the ufunc ("overflow encountered in
+    matmul"), so ``what`` stands in for it.
     """
     *rest, last = map(repr, keys)
     names = f"{', '.join(rest)} or {last}" if rest else last
@@ -85,7 +86,10 @@ def _bad_value(*keys, what="a value over- or underflows"):
         detail = what if "encountered in" in str(exc) else exc
         raise FloatingPointError(f"bad value for {names}: {detail}") from exc
     except (ValueError, OSError) as exc:
-        raise ValueError(f"bad value for {names}: {exc}") from exc
+        detail = exc
+        if isinstance(exc, OSError) and exc.filename is not None:  # clip the path
+            detail = f"[Errno {exc.errno}] {exc.strerror}: {_quoted(exc.filename)}"
+        raise ValueError(f"bad value for {names}: {detail}") from exc
 
 
 def _write_table(path, table):
@@ -530,7 +534,7 @@ def compute_lifetime(cfg):
     params = _storage_params(cfg)
     with _bad_value("t_max_ms", "t_step_ms"):
         times = _curve_times(cfg)
-    # calibrate_tau needs f_class too; a failure here names the set alone
+    # the classical optimum, computed once; a failure here names the set alone
     with _bad_value("n_min", "n_max"):
         cset = CoherentSet(cfg["n_min"], cfg["n_max"])
         _, f_class = optimize_classical_gain(cset.n_min, cset.n_max)
@@ -543,6 +547,7 @@ def compute_lifetime(cfg):
             params,
             cfg["crossing_ms"] * 1e-3,
             excess_noise_rate=cfg["excess_noise_rate"],
+            f_class=f_class,
         )
         fids = decoherence.fidelity_vs_time(cset, params, decay, times)
     crossing = decoherence.crossing_time(times, fids, f_class)

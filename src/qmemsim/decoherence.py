@@ -100,18 +100,16 @@ def fidelity_vs_time(cset, storage_params, decay, times):
     return fidelity.average_fidelities(cset, *decayed)
 
 
-def calibrate_tau(cset, storage_params, crossing, excess_noise_rate=0.0):
+def calibrate_tau(cset, storage_params, crossing, excess_noise_rate=0.0, *, f_class):
     """Coherence time for which the fidelity meets the classical optimum.
 
     Root-finds ``tau`` such that the decayed channel's fidelity at
-    ``crossing`` seconds equals the best classical fidelity for the set.
-    :func:`~qmemsim.fidelity.optimize_classical_gain` raises
-    ``FloatingPointError`` if that fidelity is not finite (it overflows
-    for very large sets); this raises ``RuntimeError`` if the channel
-    never beats it and ``ValueError`` if it still beats it at the shortest
-    ``tau`` of the bracket (the crossing is too short to calibrate).
+    ``crossing`` seconds equals ``f_class``, the best classical fidelity
+    for the set as :func:`~qmemsim.fidelity.optimize_classical_gain`
+    returns it.  Raises ``RuntimeError`` if the channel never beats it
+    and ``ValueError`` if it still beats it at the shortest ``tau`` of the
+    bracket (the crossing is too short to calibrate).
     """
-    _, f_class = fidelity.optimize_classical_gain(cset.n_min, cset.n_max)
     base = store_channel(storage_params)
 
     def gap(tau):

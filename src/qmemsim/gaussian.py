@@ -15,6 +15,7 @@ the random source explicitly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,10 +108,12 @@ class GaussianState:
         """This state's modes and covariance with a new mean.
 
         ``mean`` must be a fresh float64 array of this state's mean shape;
-        it is made read-only and taken over without a copy.  The checks of
-        ``__init__`` are skipped: the covariance already passed them and
-        cannot change.
+        it is made read-only and taken over without a copy.  Only the mean
+        is checked finite: the covariance already passed the checks of
+        ``__init__`` and cannot change.
         """
+        if not all(map(math.isfinite, mean.tolist())):
+            raise ValueError("mean and covariance must be finite")
         state = object.__new__(GaussianState)
         object.__setattr__(state, "mode_names", self.mode_names)
         object.__setattr__(state, "mean", mean)

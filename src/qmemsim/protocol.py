@@ -15,6 +15,10 @@ P rides onto X_mem through the interaction itself.
 Readout reverses the roles: a fresh verification pulse picks up
 ``k_r * P_mem`` on its X quadrature; a magnetic quarter-cycle rotation
 first swaps the atomic quadratures when the other component is wanted.
+
+Averaged over outcomes, storage and retrieval are each one cached
+:class:`GaussianChannel`, written once step by step, whose ``apply``
+replays an input mean with the bytes of the step-by-step pipeline.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from .gaussian import (
 )
 
 __all__ = [
+    "GaussianChannel",
     "StorageParams",
     "ChannelSummary",
     "interaction_map",
@@ -128,35 +133,73 @@ def interaction_map(coupling):
     return SymplecticMap(s)
 
 
-def _feedback_average(joint, measured_mode, quadrature, targets):
-    """Average of measure-and-displace over all outcomes.
+@dataclass(frozen=True)
+class GaussianChannel:
+    """A chain of protocol steps, built once and then replayed on means.
 
-    Equivalent to the Heisenberg-picture displacement of each target
-    quadrature by ``gain`` times the measured quadrature, followed by
-    tracing out the measured mode.  ``targets`` is a list of
-    ``(mode, quadrature, gain)`` triples.  Returns ``(lin, quads, state)``:
-    the linear map of the joint moments, the quadrature indices that the
-    trace keeps, and the reduced state.
+    ``GaussianChannel(state)`` starts from an input state, and each step
+    returns a new channel.  A step builds its output ``state`` with the
+    functions of :mod:`qmemsim.gaussian`, so every check of the pipeline
+    runs once, when the channel is built, and records its action on the
+    mean.  A linear Gaussian channel's covariance does not depend on the
+    means, so :meth:`apply` replays only the means, with the same
+    arithmetic in the same order (``S @ m + 0.0`` for a map,
+    ``(L @ m)[kept]`` for a feedback, ``np.concatenate`` for a join).  So
+    a channel built from a zero-mean input gives, for any input mean, the
+    bytes of running the whole pipeline on it, and all it returns share
+    its one read-only covariance.
     """
-    q = joint.quad_index(measured_mode, quadrature)
-    lin = np.eye(joint.mean.size)
-    for mode, quad, gain in targets:
-        lin[joint.quad_index(mode, quad), q] += gain
-    mean = lin @ joint.mean
-    cov = lin @ joint.cov @ lin.T
-    measured = joint.mode_index(measured_mode)
-    keep = [name for i, name in enumerate(joint.mode_names) if i != measured]
-    quads = [i for i in range(mean.size) if i // 2 != measured]
-    reduced = GaussianState(joint.mode_names, mean, cov, copy=False)
-    lin.flags.writeable = False
-    return lin, quads, partial_trace(reduced, keep)
+
+    state: GaussianState
+    _steps: tuple = ()
+
+    def _extended(self, state, replay):
+        return GaussianChannel(state, self._steps + (replay,))
+
+    def join(self, state, given=False, first=False):
+        """Tensor on ``state``'s modes, after this channel's (before if ``first``);
+        their mean is ``state.mean``, or if ``given`` the next mean given to apply."""
+        def replay(mean, means):
+            other = next(means) if given else state.mean
+            return np.concatenate([other, mean] if first else [mean, other])
+        joint = tensor(state, self.state) if first else tensor(self.state, state)
+        return self._extended(joint, replay)
+
+    def then(self, smap):
+        """Apply a symplectic map to all the modes."""
+        s = smap.matrix
+        return self._extended(apply_symplectic(self.state, smap), lambda m, _: s @ m + 0.0)
+
+    def feedback(self, measured, target, gain, keep):
+        """Measure X of ``measured`` and shift P of ``target`` by ``gain`` times
+        the outcome, averaged over outcomes; then keep the modes ``keep``."""
+        joint = self.state
+        lin = np.eye(joint.mean.size)
+        lin[joint.quad_index(target, "p"), joint.quad_index(measured, "x")] += gain
+        lin.flags.writeable = False  # shared by every replay of a cached channel
+        quads = [i for name in keep for i in joint.quad_indices(name)]
+        cov = lin @ joint.cov @ lin.T
+        averaged = GaussianState(joint.mode_names, lin @ joint.mean, cov, copy=False)
+        return self._extended(partial_trace(averaged, keep), lambda m, _: (lin @ m)[quads])
+
+    def apply(self, mean, *given):
+        """The output state for the input mean ``mean`` (and ``given`` means)."""
+        means = iter(given)
+        for replay in self._steps:
+            mean = replay(mean, means)
+        return self.state._with_mean(mean)
+
+
+def _interacted(light_name, light_mean, light_cov, coupling, atom_var_x, atom_var_p):
+    """Storage's first step: light joined by fresh atoms, then the interaction."""
+    light = GaussianState([light_name], light_mean, np.frombuffer(light_cov).reshape(2, 2))
+    atoms = single_mode(ATOMS, var_x=atom_var_x, var_p=atom_var_p)
+    return GaussianChannel(light).join(atoms).then(interaction_map(coupling))
 
 
 # The three caches below hold the outcome-independent half of a storage or
-# retrieval step.  Each is keyed on the exact bytes of what it reads, so
-# ``-0.0`` and ``0.0`` get separate entries, and runs the object pipeline
-# on a miss, so every check of it runs once per distinct input.  An
-# exception is raised again on the next call, since it is not cached.
+# retrieval step, keyed on the exact bytes of what it reads (so -0.0 and 0.0
+# get separate entries).  An exception is not cached: it is raised again.
 
 
 @functools.lru_cache(maxsize=64)
@@ -166,12 +209,9 @@ def _store_conditioning(light_name, light_mean, light_cov, knobs):
     Returns the homodyne update and a state with the conditional
     covariance; the feedback gain is not part of the key.
     """
-    coupling, atom_var_x, atom_var_p = struct.unpack("3d", knobs)
-    light = GaussianState(
-        [light_name], np.frombuffer(light_mean), np.frombuffer(light_cov).reshape(2, 2)
-    )
-    atoms = single_mode(ATOMS, var_x=atom_var_x, var_p=atom_var_p)
-    joint = apply_symplectic(tensor(light, atoms), interaction_map(coupling))
+    joint = _interacted(
+        light_name, np.frombuffer(light_mean), light_cov, *struct.unpack("3d", knobs)
+    ).state
     update = homodyne_update(joint, light_name, "x")
     return update, GaussianState(update.mode_names, update.mean_r, update.cov, copy=False)
 
@@ -217,18 +257,10 @@ def store_conditional(input_light, params, rng=None, fixed_outcome=None):
 
 @functools.lru_cache(maxsize=64)
 def _average_steps(light_name, light_cov, knobs):
-    """Outcome-independent half of :func:`store_average`.
-
-    Returns the interaction matrix, the feedback map and the quadratures
-    it keeps, and the stored state of a zero-mean input.
-    """
+    """The :class:`GaussianChannel` of :func:`store_average`."""
     coupling, gain, atom_var_x, atom_var_p = struct.unpack("4d", knobs)
-    light = GaussianState([light_name], _ZEROS, np.frombuffer(light_cov).reshape(2, 2))
-    atoms = single_mode(ATOMS, var_x=atom_var_x, var_p=atom_var_p)
-    interaction = interaction_map(coupling)
-    joint = apply_symplectic(tensor(light, atoms), interaction)
-    lin, quads, stored = _feedback_average(joint, light_name, "x", [(ATOMS, "p", -gain)])
-    return interaction.matrix, lin, quads, stored
+    stored = _interacted(light_name, _ZEROS, light_cov, coupling, atom_var_x, atom_var_p)
+    return stored.feedback(light_name, ATOMS, -gain, keep=[ATOMS])
 
 
 def store_average(input_light, params):
@@ -236,24 +268,16 @@ def store_average(input_light, params):
 
     The measurement-plus-feedback step is averaged over outcomes, which
     reproduces the ensemble statistics of :func:`store_conditional`.
-    The covariance does not depend on the input mean, so it is computed
-    and checked once per distinct input covariance, coupling, gain and
-    atomic variances, and shared, read-only, by the states returned.
-    Each call replays the mean through the same matrices, so the result
-    is byte-identical to running the whole pipeline.
     """
     if input_light.n_modes != 1:
         raise ValueError("input light must be a single mode")
-    interaction, lin, quads, stored = _average_steps(
+    return _average_steps(
         input_light.mode_names[0],
         input_light.cov.tobytes(),
         struct.pack(
             "4d", params.coupling, params.gain, params.atom_var_x, params.atom_var_p
         ),
-    )
-    # the atoms start at zero mean; + 0.0 as in apply_symplectic
-    mean = interaction @ np.concatenate([input_light.mean, _ZEROS]) + 0.0
-    return stored._with_mean((lin @ mean)[quads])
+    ).apply(input_light.mean)
 
 
 def store_channel(params):
@@ -309,11 +333,7 @@ def reconstruct_atomic_variance(readout_var, readout_coupling):
 
 
 def reverse_readout(
-    atomic_state,
-    params,
-    reverse_gain=1.0,
-    aux_coupling=1.0,
-    aux_light=None,
+    atomic_state, params, reverse_gain=1.0, aux_coupling=1.0, aux_light=None
 ):
     """Retrieve the memory onto light: the storage steps with roles swapped.
 
@@ -328,43 +348,28 @@ def reverse_readout(
     that it estimates the atomic X directly, and the outgoing light is
     finally rotated by pi so that the store -> retrieve round trip
     preserves both mean quadratures rather than flipping their signs.
-
-    The covariance does not depend on the means, so it is computed and
-    checked once per distinct atomic and auxiliary covariance (with their
-    mode names) and knobs, and shared, read-only, by the states returned.
-    Each call replays the means through the same matrices, so the result
-    is byte-identical to running the whole pipeline.
     """
     if atomic_state.n_modes != 1:
         raise ValueError("expected a single atomic mode")
     if aux_coupling <= 0:
         raise ValueError("auxiliary coupling must be positive")
     aux = None if aux_light is None else (aux_light.mode_names, aux_light.cov.tobytes())
+    given = () if aux_light is None else (aux_light.mean,)
     # X_aux reads -aux_coupling * X_atom; feeding back -g times the
     # rescaled record means displacing P_light by +g/aux_coupling * X_aux.
     feedback = reverse_gain / aux_coupling
-    interaction, quarter, aux_step, lin, quads, half, retrieved = _readout_steps(
+    return _readout_steps(
         atomic_state.mode_names[0],
         atomic_state.cov.tobytes(),
         aux,
         struct.pack("3d", params.coupling, aux_coupling, feedback),
-    )
-    mean = interaction @ np.concatenate([_ZEROS, atomic_state.mean]) + 0.0
-    mean = quarter @ mean + 0.0
-    aux_mean = _ZEROS if aux_light is None else aux_light.mean
-    mean = aux_step @ np.concatenate([mean, aux_mean]) + 0.0
-    return retrieved._with_mean(half @ (lin @ mean)[quads] + 0.0)
+    ).apply(atomic_state.mean, *given)
 
 
 @functools.lru_cache(maxsize=64)
 def _readout_steps(atom_name, atom_cov, aux, knobs):
-    """Outcome-independent half of :func:`reverse_readout`.
-
-    ``aux`` is ``None`` for a vacuum auxiliary pulse, else its mode names
-    and covariance bytes.  Returns the step matrices in the order they act
-    on the means, the quadratures that the two traces keep, and the
-    retrieved state of zero-mean inputs.
-    """
+    """The :class:`GaussianChannel` of :func:`reverse_readout`; ``aux`` is
+    ``None`` for a vacuum auxiliary pulse, else its mode names and covariance bytes."""
     coupling, aux_coupling, feedback = struct.unpack("3d", knobs)
     atoms = GaussianState([atom_name], _ZEROS, np.frombuffer(atom_cov).reshape(2, 2))
     if aux is None:
@@ -372,22 +377,15 @@ def _readout_steps(atom_name, atom_cov, aux, knobs):
     else:
         names, cov = aux
         dim = 2 * len(names)
-        cov = np.frombuffer(cov).reshape(dim, dim)
-        aux_light = GaussianState(names, np.zeros(dim), cov)
-    interaction = interaction_map(coupling)
-    joint = apply_symplectic(tensor(vacuum_state([READOUT]), atoms), interaction)
-
-    # auxiliary measurement of the (post-interaction) atomic X
-    quarter = SymplecticMap.rotation(np.pi / 2).embed([1], 2)
-    joint = apply_symplectic(joint, quarter)
-    joint = tensor(joint, aux_light)
-    aux_step = interaction_map(aux_coupling).embed([2, 1], 3)
-    joint = apply_symplectic(joint, aux_step)
-    lin, keep, retrieved = _feedback_average(joint, AUX, "x", [(READOUT, "p", feedback)])
-    light = [keep[i] for i in retrieved.quad_indices(READOUT)]
-    half = SymplecticMap.rotation(np.pi)
-    retrieved = apply_symplectic(partial_trace(retrieved, [READOUT]), half)
+        aux_light = GaussianState(names, np.zeros(dim), np.frombuffer(cov).reshape(dim, dim))
     return (
-        interaction.matrix, quarter.matrix, aux_step.matrix, lin, light,
-        half.matrix, retrieved,
+        GaussianChannel(atoms)
+        .join(vacuum_state([READOUT]), first=True)
+        .then(interaction_map(coupling))
+        # auxiliary measurement of the (post-interaction) atomic X
+        .then(SymplecticMap.rotation(np.pi / 2).embed([1], 2))
+        .join(aux_light, given=aux is not None)
+        .then(interaction_map(aux_coupling).embed([2, 1], 3))
+        .feedback(AUX, READOUT, feedback, keep=[READOUT])
+        .then(SymplecticMap.rotation(np.pi))
     )

@@ -238,11 +238,11 @@ def test_criterion_10_experimental_consistency_band():
 def test_criterion_11_lifetime_crossing():
     cset = CoherentSet(0, 10)
     params = StorageParams()
-    decay = calibrate_tau(cset, params, 4e-3, excess_noise_rate=0.5)
+    _, f_class = optimize_classical_gain(cset.n_min, cset.n_max)
+    decay = calibrate_tau(cset, params, 4e-3, excess_noise_rate=0.5, f_class=f_class)
     step = 1e-4
     times = np.arange(0.0, 6e-3 + step / 2, step)
     fids = fidelity_vs_time(cset, params, decay, times)
-    _, f_class = optimize_classical_gain(cset.n_min, cset.n_max)
     crossing = crossing_time(times, fids, f_class)
     assert crossing == pytest.approx(4e-3, abs=step)
     assert np.all(np.diff(fids) <= 1e-12)

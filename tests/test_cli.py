@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qmemsim
-from qmemsim import _csv, cli, montecarlo
+from qmemsim import _csv, cli, fidelity, montecarlo
 from qmemsim.cli import _write_table, main
 from qmemsim.fidelity import MAX_NODES
 
@@ -33,19 +33,23 @@ def run(tmp_path, command, config=None, extra=()):
     return main(args)
 
 
-def run_subprocess(tmp_path, command, config):
+def run_subprocess(tmp_path, command, config, *args):
     """Exit code and stderr of a CLI run in a fresh interpreter; ``config``
-    is a dict or its JSON text.
+    is a dict or its JSON text, or ``None`` for no ``--config``, and
+    ``args`` follow the ``--out`` argument.
 
     For inputs that once hung or allocated without bound, so the run
     sits under a timeout.
     """
-    path = tmp_path / "config.json"
-    path.write_text(config if isinstance(config, str) else json.dumps(config))
+    flags = []
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(config if isinstance(config, str) else json.dumps(config))
+        flags = ["--config", str(path)]
     src = Path(qmemsim.__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, "-m", "qmemsim.cli", command,
-         "--config", str(path), "--out", str(tmp_path / "out")],
+        [sys.executable, "-m", "qmemsim.cli", command, *flags,
+         "--out", str(tmp_path / "out"), *args],
         capture_output=True, text=True, timeout=60,
         env={"PATH": "", "PYTHONPATH": str(src)},
     )
@@ -458,6 +462,18 @@ class TestLifetime:
         svg = (tmp_path / "out" / "lifetime.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
 
+    def test_classical_optimum_is_computed_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = fidelity.optimize_classical_gain
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(fidelity, "optimize_classical_gain", counted)
+        assert run(tmp_path, "lifetime", {"t_max_ms": 1.0}) == 0
+        assert calls == [(0.0, 10.0)]
+
     def test_hopeless_channel_exits_three(self, tmp_path, capsys):
         config = {"coupling": 0.2, "gain": 0.2}
         assert run(tmp_path, "lifetime", config) == 3
@@ -556,18 +572,21 @@ def test_non_finite_json_exits_three_naming_it(tmp_path, monkeypatch, capsys):
     assert not any((tmp_path / "out").iterdir())
 
 
-@pytest.mark.parametrize("config, named", [
+@pytest.mark.parametrize("command, config, args, named", [
     # nested as deep as the decoder allows at start-up
-    ('{"bins": ' + "[" * 980 + "]" * 980 + "}", "'bins'"),
-    (json.dumps({"bins": "x" * 5000}), "'bins'"),
-    (json.dumps({"bins": -10**4000}), "'bins'"),
-    (json.dumps({"sweep": ["x" * 5000]}), "'sweep'"),
-    (json.dumps({"pulse_duration": "x" * 5000}), "'pulse_duration'"),
-    (json.dumps({"x" * 5000: 1}), "unknown config key 'xxx"),
+    ("microscopic", '{"bins": ' + "[" * 980 + "]" * 980 + "}", (), "'bins'"),
+    ("microscopic", json.dumps({"bins": "x" * 5000}), (), "'bins'"),
+    ("microscopic", json.dumps({"bins": -10**4000}), (), "'bins'"),
+    ("microscopic", json.dumps({"sweep": ["x" * 5000]}), (), "'sweep'"),
+    ("microscopic", json.dumps({"pulse_duration": "x" * 5000}), (), "'pulse_duration'"),
+    ("microscopic", json.dumps({"x" * 5000: 1}), (), "unknown config key 'xxx"),
+    # a path too long to open: the OSError quotes it
+    ("calibrate", {"series_csv": "x" * 3000}, (), "'series_csv'"),
+    ("fidelity", None, ("--config", "x" * 3000), "'--config'"),
 ], ids=["nested", "long-string", "long-integer", "long-list", "long-float-string",
-        "long-key"])
-def test_long_value_gives_a_short_error_line(tmp_path, config, named):
-    code, err = run_subprocess(tmp_path, "microscopic", config)
+        "long-key", "long-series-csv-path", "long-config-path"])
+def test_long_value_gives_a_short_error_line(tmp_path, command, config, args, named):
+    code, err = run_subprocess(tmp_path, command, config, *args)
     assert code == 2, err
     assert err.count("\n") == 1 and len(err) <= 200 and named in err
     assert "Traceback" not in err
@@ -609,6 +628,19 @@ class TestUnreadableOrUnwritable:
         code, err = run_subprocess(tmp_path, "fidelity", {})
         assert code == 2, err
         assert err.count("\n") == 1 and "'--out'" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--out", "--config"])
+    def test_no_config_file_in_a_fresh_interpreter(self, tmp_path, flag):
+        # an --out that is a file, or a --config that is a directory
+        args = ()
+        if flag == "--out":
+            (tmp_path / "out").write_text("kept")
+        else:
+            (tmp_path / "dir").mkdir()
+            args = ("--config", str(tmp_path / "dir"))
+        code, err = run_subprocess(tmp_path, "fidelity", None, *args)
+        assert code == 2, err
+        assert err.count("\n") == 1 and f"'{flag}'" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("make", [
         Path.mkdir,

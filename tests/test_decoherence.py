@@ -111,10 +111,10 @@ class TestLifetimeCurve:
     def test_calibrated_curve_crosses_at_requested_time(self):
         cset = CoherentSet(0, 10)
         params = StorageParams()
-        decay = calibrate_tau(cset, params, 4e-3, excess_noise_rate=0.5)
+        _, f_class = optimize_classical_gain(0, 10)
+        decay = calibrate_tau(cset, params, 4e-3, excess_noise_rate=0.5, f_class=f_class)
         times = np.arange(0.0, 6.0001e-3, 1e-4)
         fids = fidelity_vs_time(cset, params, decay, times)
-        _, f_class = optimize_classical_gain(0, 10)
         crossing = crossing_time(times, fids, f_class)
         assert crossing == pytest.approx(4e-3, abs=1e-4)
         # above the classical optimum before, below after
@@ -123,18 +123,22 @@ class TestLifetimeCurve:
 
     def test_uncalibratable_channel_raises(self):
         weak = StorageParams(coupling=0.2, gain=0.2)
+        _, f_class = optimize_classical_gain(0, 10)
         with pytest.raises(RuntimeError, match="classical"):
-            calibrate_tau(CoherentSet(0, 10), weak, 4e-3)
+            calibrate_tau(CoherentSet(0, 10), weak, 4e-3, f_class=f_class)
 
     def test_overflowing_set_raises_from_the_classical_optimum(self):
+        # the optimum that calibrate_tau is given cannot be computed
         with pytest.raises(FloatingPointError, match=r"photon numbers \[0, 4300\]"):
-            calibrate_tau(CoherentSet(0, 4300), StorageParams(), 4e-3)
+            _, f_class = optimize_classical_gain(0, 4300)
+            calibrate_tau(CoherentSet(0, 4300), StorageParams(), 4e-3, f_class=f_class)
 
     def test_crossing_below_tau_bracket_raises(self):
         # at tau = 1e-5 s a 1 ns crossing leaves the fidelity above the
         # classical optimum, so the bracket holds no sign change
+        _, f_class = optimize_classical_gain(0, 10)
         with pytest.raises(ValueError, match="too short"):
-            calibrate_tau(CoherentSet(0, 10), StorageParams(), 1e-9)
+            calibrate_tau(CoherentSet(0, 10), StorageParams(), 1e-9, f_class=f_class)
 
     def test_unsorted_times_rejected(self):
         with pytest.raises(ValueError):
@@ -159,7 +163,10 @@ def per_point(cset, params, decay, times):
 def lifetime_inputs(crossing_ms=4.0, excess=0.5, t_max_ms=6.0, t_step_ms=0.1):
     """Arguments of ``fidelity_vs_time`` as ``qmemsim lifetime`` builds them."""
     cset, params = CoherentSet(0, 10), StorageParams()
-    decay = calibrate_tau(cset, params, crossing_ms * 1e-3, excess_noise_rate=excess)
+    _, f_class = optimize_classical_gain(cset.n_min, cset.n_max)
+    decay = calibrate_tau(
+        cset, params, crossing_ms * 1e-3, excess_noise_rate=excess, f_class=f_class
+    )
     times = np.arange(0.0, t_max_ms * 1e-3 + 1e-12, t_step_ms * 1e-3)
     return cset, params, decay, times
 

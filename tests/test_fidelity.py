@@ -254,7 +254,7 @@ class TestAverageFidelity:
         monkeypatch.setattr(fidelity, "MAX_NODES", 8)  # stops it after 2 doublings
         with pytest.raises(RuntimeError, match="below 1e-30 by 8 nodes"):
             average_fidelity(
-                CoherentSet(0, 8), ChannelSummary(0.9, 0.9, 0.8, 0.6), tol=1e-30
+                CoherentSet(0, 1000), ChannelSummary(0.9, 0.9, 0.8, 0.6), tol=1e-30
             )
 
     def test_doubling_stops_at_node_cap(self, monkeypatch):

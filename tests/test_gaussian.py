@@ -112,12 +112,14 @@ NON_FINITE = {
     "nan-variance": lambda: single_mode("a", var_x=np.nan),
     "nan-shift": lambda: displace(coherent_state(1.0, 2.0), "light", np.nan, 0),
     "infinite-shift": lambda: displace(coherent_state(1.0, 2.0), "light", 0, -np.inf),
+    "overflowing-shift": lambda: displace(coherent_state(1e308, 0.0), "light", 1e308, 0),
     "nan-fixed-outcome": lambda: homodyne_measure(
         vacuum_state(["a", "b"]), "a", fixed_outcome=np.nan
     ),
 }
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("case", NON_FINITE)
 def test_non_finite_rejected(case):
     with pytest.raises(ValueError, match="finite"):

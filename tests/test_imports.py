@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import qmemsim
-from qmemsim import decoherence, fidelity, gaussian, montecarlo, protocol, rng
+from qmemsim import cli, fidelity, gaussian, montecarlo, protocol, rng
 
 SRC = str(Path(qmemsim.__file__).resolve().parents[1])
 
@@ -136,8 +136,8 @@ def test_unknown_attribute_raises():
 
 
 def _lifetime_calibration():
-    decoherence.calibrate_tau(fidelity.CoherentSet(0.0, 10.0), protocol.StorageParams(),
-                              4e-3, excess_noise_rate=0.5)
+    # ``qmemsim lifetime`` finds the classical optimum, then calls calibrate_tau
+    cli.compute_lifetime(cli._resolve({"t_max_ms": 1.0}, cli.LIFETIME_FIELDS))
 
 
 @pytest.mark.parametrize(

@@ -533,6 +533,35 @@ class TestAveragedCaches:
             matrix[0, 0] = 2.0
 
 
+class TestOverflowIsRefused:
+    """A finite input whose mean overflows on the way raises ``ValueError``,
+    as the literal pipeline does, on a miss and on a hit."""
+
+    CASES = {
+        "store_average": (
+            store_average, reference_average,
+            (single_mode("light", 1e308, -1e308), StorageParams(coupling=2.0)), {},
+        ),
+        "reverse_readout": (
+            reverse_readout, reference_readout,
+            (single_mode(ATOMS, 1e308, 1e308), StorageParams(coupling=2.0)), {},
+        ),
+        "store_conditional": (
+            store_conditional, reference_store,
+            (coherent_state(0.0, 0.0), StorageParams(gain=1e300)), {"fixed_outcome": 1e10},
+        ),
+    }
+
+    @pytest.mark.filterwarnings("ignore:(overflow|invalid value) encountered")
+    @pytest.mark.parametrize("case", CASES)
+    def test_overflow_raises(self, case):
+        fn, reference, args, kwargs = self.CASES[case]
+        for _ in range(2):  # a miss, then a hit
+            for call in (fn, reference):
+                with pytest.raises(ValueError, match="finite"):
+                    call(*args, **kwargs)
+
+
 class TestWorkCount:
     """Maps are built and covariances checked once per distinct input,
     not once per call: a count of both over a conditional-pipeline loop."""
