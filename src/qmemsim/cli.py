@@ -49,16 +49,15 @@ ALL_FORMATS = ("csv", "json", "svg")
 MAX_CURVE_POINTS = 100_000
 # Caps on the count keys: the largest accepted run stays well under 1 GiB
 # peak RSS.  ci/caps.py runs each subcommand at its caps and checks its
-# peak: about 83 MiB for store (with histogram_bins at its cap too),
-# 165 MiB for calibrate and 147 MiB for its re-fit from that run's
-# series_csv, 334 MiB for microscopic and 52 MiB for lifetime at
-# MAX_CURVE_POINTS.
+# peak against a ceiling; the README quotes the peaks it measured.
 MAX_TRIALS = 1_000_000  # per verification arm
 MAX_HISTOGRAM_BINS = 100_000
-# montecarlo's MIN_TRIALS and MIN_BINS, which the store config reads before
-# montecarlo is imported (tests/test_cli.py ties the two)
+# montecarlo's MIN_TRIALS and MIN_BINS and microscopic's MIN_TIME_BINS,
+# which the configs read before those modules are imported
+# (tests/test_cli.py ties each pair)
 MIN_TRIALS = 100
 MIN_HISTOGRAM_BINS = 5
+MIN_TIME_BINS = 10
 MAX_JX_POINTS = 1_000_000
 MAX_CYCLES = 10**12  # sets only the chi-squared degrees of freedom
 MAX_TIME_BINS = 1_000_000  # bins and sweep_bins
@@ -220,7 +219,8 @@ STORE_FIELDS = {
     "input_x": (_finite, _REQUIRED),
     "input_p": (_finite, _REQUIRED),
     "n_trials": (_count(MIN_TRIALS, MAX_TRIALS), 10_000),
-    "seed": (_integer, 0),
+    # the stream key masks a seed to 64 bits, one to one on this range
+    "seed": (_count(-2**63, 2**63 - 1), 0),
     "histogram_bins": (_count(MIN_HISTOGRAM_BINS, MAX_HISTOGRAM_BINS), 60),
     **_STORAGE_FIELDS,
 }
@@ -437,12 +437,12 @@ def compute_calibrate(cfg):
 
 MICROSCOPIC_FIELDS = {
     "target_coupling": (_real, 1.0),
-    "bins": (_count(1, MAX_TIME_BINS), 10_000),
+    "bins": (_count(MIN_TIME_BINS, MAX_TIME_BINS), 10_000),
     "larmor_frequency": (_real, 2 * np.pi * 322e3),
     "pulse_duration": (_real, 1e-3),
     "collective_spin": (_real, 1.2e12),
     "sweep": (_boolean, True),
-    "sweep_bins": (_count(1, MAX_TIME_BINS), 4096),
+    "sweep_bins": (_count(MIN_TIME_BINS, MAX_TIME_BINS), 4096),
 }
 
 

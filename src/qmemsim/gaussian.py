@@ -74,15 +74,15 @@ class GaussianState:
 
     __slots__ = ("mode_names", "mean", "cov")
 
-    def __init__(self, modes, mean, cov, copy=True):
+    def __init__(self, modes, mean, cov):
         names = tuple(map(str, modes))
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate mode name in {names}")
         if not names:
             raise ValueError("a state needs at least one mode")
 
-        mean = np.array(mean, dtype=float, copy=copy).reshape(-1)
-        cov = np.array(cov, dtype=float, copy=copy)
+        mean = np.array(mean, dtype=float).reshape(-1)
+        cov = np.array(cov, dtype=float)
         dim = 2 * len(names)
         if mean.shape != (dim,) or cov.shape != (dim, dim):
             raise ValueError(
@@ -230,20 +230,17 @@ def vacuum_state(mode_labels):
     if not labels:
         raise ValueError("at least one mode label required")
     dim = 2 * len(labels)
-    return GaussianState(labels, np.zeros(dim), VACUUM_VAR * np.eye(dim), copy=False)
+    return GaussianState(labels, np.zeros(dim), VACUUM_VAR * np.eye(dim))
 
 
 def coherent_state(x, p, mode="light"):
     """Single-mode coherent state with mean (x, p) and vacuum covariance."""
-    return GaussianState(
-        [mode], np.array([x, p], dtype=float), VACUUM_VAR * np.eye(2), copy=False
-    )
+    return GaussianState([mode], [x, p], VACUUM_VAR * np.eye(2))
 
 
 def single_mode(name, x=0.0, p=0.0, var_x=VACUUM_VAR, var_p=VACUUM_VAR, cov_xp=0.0):
     """General single-mode Gaussian state from its four moments."""
-    cov = np.array([[var_x, cov_xp], [cov_xp, var_p]], dtype=float)
-    return GaussianState([name], np.array([x, p], dtype=float), cov, copy=False)
+    return GaussianState([name], [x, p], [[var_x, cov_xp], [cov_xp, var_p]])
 
 
 # -- operations ---------------------------------------------------------------
@@ -263,12 +260,7 @@ def apply_symplectic(state, smap):
     s = smap.matrix
     # + 0.0 turns a -0.0 into +0.0, so no mean leaves a map holding -0.0,
     # whichever way the numpy build's matmul accumulates
-    return GaussianState(
-        state.mode_names,
-        s @ state.mean + 0.0,
-        s @ state.cov @ s.T,
-        copy=False,
-    )
+    return GaussianState(state.mode_names, s @ state.mean + 0.0, s @ state.cov @ s.T)
 
 
 def displace(state, mode, dx, dp):
@@ -290,9 +282,7 @@ def partial_trace(state, keep):
     indices = [state.mode_index(m) for m in keep]
     quads = _quads(indices)
     names = [state.mode_names[i] for i in indices]
-    return GaussianState(
-        names, state.mean[quads], state.cov[np.ix_(quads, quads)], copy=False
-    )
+    return GaussianState(names, state.mean[quads], state.cov[np.ix_(quads, quads)])
 
 
 def tensor(a, b):
@@ -305,7 +295,7 @@ def tensor(a, b):
     na = a.mean.size
     cov[:na, :na] = a.cov
     cov[na:, na:] = b.cov
-    return GaussianState(a.mode_names + b.mode_names, mean, cov, copy=False)
+    return GaussianState(a.mode_names + b.mode_names, mean, cov)
 
 
 @dataclass(frozen=True)
@@ -314,16 +304,16 @@ class HomodyneUpdate:
 
     For a Gaussian state the conditional covariance and the conditioning
     vector ``cov_rq`` do not depend on the outcome; only the mean moves,
-    linearly in the record.  The arrays are read-only, so one update can
-    serve any number of outcomes.
+    linearly in the record.  ``state`` holds the modes left after the
+    measured one, with their unconditioned mean and their conditional
+    covariance.  The arrays are read-only, so one update can serve any
+    number of outcomes.
     """
 
-    mode_names: tuple  # the modes left after the measured one
+    state: GaussianState
     mu_q: float  # marginal mean of the measured quadrature
     var_q: float  # marginal variance of the measured quadrature
-    mean_r: np.ndarray
-    cov_rq: np.ndarray
-    cov: np.ndarray  # conditional covariance of the remaining modes
+    cov_rq: np.ndarray  # covariance of the remaining quadratures with it
 
     def condition(self, rng=None, fixed_outcome=None):
         """Return ``(outcome, conditional mean)`` for one measurement run.
@@ -348,9 +338,9 @@ class HomodyneUpdate:
                 raise ValueError("provide rng to sample or fixed_outcome")
             outcome = self.mu_q + np.sqrt(self.var_q) * rng.standard_normal()
         if degenerate:
-            return outcome, self.mean_r.copy()
+            return outcome, self.state.mean.copy()
         shift = (outcome - self.mu_q) / self.var_q
-        return outcome, self.mean_r + self.cov_rq * shift
+        return outcome, self.state.mean + self.cov_rq * shift
 
 
 def homodyne_update(state, mode, quadrature="x"):
@@ -358,20 +348,15 @@ def homodyne_update(state, mode, quadrature="x"):
     if state.n_modes < 2:
         raise ValueError("measuring the only mode would leave an empty state")
     q = state.quad_index(mode, quadrature)
-    mu_q = state.mean[q]
     var_q = state.cov[q, q]
-
     drop = state.mode_index(mode)
     rest = [i for i in range(state.n_modes) if i != drop]
-    quads = _quads(rest)
-    mean_r = state.mean[quads]
-    cov_rr = state.cov[np.ix_(quads, quads)]
-    cov_rq = state.cov[quads, q]
-    cov_c = cov_rr if var_q <= 0.0 else cov_rr - np.outer(cov_rq, cov_rq) / var_q
-    for array in (mean_r, cov_rq, cov_c):
-        array.flags.writeable = False
-    names = tuple(state.mode_names[i] for i in rest)
-    return HomodyneUpdate(names, mu_q, var_q, mean_r, cov_rq, cov_c)
+    cov_rq = state.cov[_quads(rest), q]
+    cov_rq.flags.writeable = False
+    marginal = partial_trace(state, [state.mode_names[i] for i in rest])
+    cov = marginal.cov if var_q <= 0.0 else marginal.cov - np.outer(cov_rq, cov_rq) / var_q
+    conditioned = GaussianState(marginal.mode_names, marginal.mean, cov)
+    return HomodyneUpdate(conditioned, state.mean[q], var_q, cov_rq)
 
 
 def homodyne_measure(state, mode, quadrature="x", rng=None, fixed_outcome=None):
@@ -388,4 +373,4 @@ def homodyne_measure(state, mode, quadrature="x", rng=None, fixed_outcome=None):
     """
     update = homodyne_update(state, mode, quadrature)
     outcome, mean = update.condition(rng, fixed_outcome)
-    return outcome, GaussianState(update.mode_names, mean, update.cov, copy=False)
+    return outcome, update.state._with_mean(mean)

@@ -38,7 +38,11 @@ __all__ = [
     "tuned_params",
     "omega_t_sweep",
     "pinned_phase_omega_t",
+    "MIN_TIME_BINS",
 ]
+
+#: fewest time bins of a propagation
+MIN_TIME_BINS = 10
 
 # indices into the 8 x 8 demodulated coupling matrix
 COS_X, COS_P, SIN_X, SIN_P, ATOM_X, ATOM_P, ATOM_X2, ATOM_P2 = range(8)
@@ -72,8 +76,8 @@ class PhysicalParams:
             raise ValueError("collective_spin must be nonnegative")
         if self.photon_flux < 0:
             raise ValueError("photon_flux must be nonnegative")
-        if self.bins < 10:
-            raise ValueError("need at least 10 bins")
+        if self.bins < MIN_TIME_BINS:
+            raise ValueError(f"need at least {MIN_TIME_BINS} bins")
         phase_per_bin = self.larmor_frequency * self.pulse_duration / (
             2 * np.pi * self.bins
         )

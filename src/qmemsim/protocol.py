@@ -144,10 +144,10 @@ class GaussianChannel:
     mean.  A linear Gaussian channel's covariance does not depend on the
     means, so :meth:`apply` replays only the means, with the same
     arithmetic in the same order (``S @ m + 0.0`` for a map,
-    ``(L @ m)[kept]`` for a feedback, ``np.concatenate`` for a join).  So
-    a channel built from a zero-mean input gives, for any input mean, the
-    bytes of running the whole pipeline on it, and all it returns share
-    its one read-only covariance.
+    ``(L @ m)[kept]`` for a feedback, ``np.concatenate`` with the joined
+    state's mean for a join).  So a channel built from a zero-mean input
+    gives, for any input mean, the bytes of running the whole pipeline on
+    it, and all it returns share its one read-only covariance.
     """
 
     state: GaussianState
@@ -156,19 +156,17 @@ class GaussianChannel:
     def _extended(self, state, replay):
         return GaussianChannel(state, self._steps + (replay,))
 
-    def join(self, state, given=False, first=False):
-        """Tensor on ``state``'s modes, after this channel's (before if ``first``);
-        their mean is ``state.mean``, or if ``given`` the next mean given to apply."""
-        def replay(mean, means):
-            other = next(means) if given else state.mean
-            return np.concatenate([other, mean] if first else [mean, other])
+    def join(self, state, first=False):
+        """Tensor on ``state``, after this channel's modes (before if ``first``)."""
+        def replay(mean):
+            return np.concatenate([state.mean, mean] if first else [mean, state.mean])
         joint = tensor(state, self.state) if first else tensor(self.state, state)
         return self._extended(joint, replay)
 
     def then(self, smap):
         """Apply a symplectic map to all the modes."""
         s = smap.matrix
-        return self._extended(apply_symplectic(self.state, smap), lambda m, _: s @ m + 0.0)
+        return self._extended(apply_symplectic(self.state, smap), lambda m: s @ m + 0.0)
 
     def feedback(self, measured, target, gain, keep):
         """Measure X of ``measured`` and shift P of ``target`` by ``gain`` times
@@ -179,14 +177,13 @@ class GaussianChannel:
         lin.flags.writeable = False  # shared by every replay of a cached channel
         quads = [i for name in keep for i in joint.quad_indices(name)]
         cov = lin @ joint.cov @ lin.T
-        averaged = GaussianState(joint.mode_names, lin @ joint.mean, cov, copy=False)
-        return self._extended(partial_trace(averaged, keep), lambda m, _: (lin @ m)[quads])
+        averaged = GaussianState(joint.mode_names, lin @ joint.mean, cov)
+        return self._extended(partial_trace(averaged, keep), lambda m: (lin @ m)[quads])
 
-    def apply(self, mean, *given):
-        """The output state for the input mean ``mean`` (and ``given`` means)."""
-        means = iter(given)
+    def apply(self, mean):
+        """The output state for the input mean ``mean``."""
         for replay in self._steps:
-            mean = replay(mean, means)
+            mean = replay(mean)
         return self.state._with_mean(mean)
 
 
@@ -204,19 +201,22 @@ def _interacted(light_name, light_mean, light_cov, coupling, atom_var_x, atom_va
 
 @functools.lru_cache(maxsize=64)
 def _store_conditioning(light_name, light_mean, light_cov, knobs):
-    """Outcome-independent half of :func:`store_conditional`.
-
-    Returns the homodyne update and a state with the conditional
-    covariance; the feedback gain is not part of the key.
-    """
+    """The homodyne update of :func:`store_update`; the feedback gain is
+    not part of the key."""
     joint = _interacted(
         light_name, np.frombuffer(light_mean), light_cov, *struct.unpack("3d", knobs)
     ).state
-    update = homodyne_update(joint, light_name, "x")
-    return update, GaussianState(update.mode_names, update.mean_r, update.cov, copy=False)
+    return homodyne_update(joint, light_name, "x")
 
 
-def _conditioning(input_light, params):
+def store_update(input_light, params):
+    """Cached outcome-independent half of storing ``input_light``.
+
+    The :class:`~qmemsim.gaussian.HomodyneUpdate` of measuring the
+    transmitted light X after the interaction: its ``mu_q`` and ``var_q``
+    are the marginal of the feedback outcome, and its ``state`` the atoms
+    with their conditional covariance.
+    """
     if input_light.n_modes != 1:
         raise ValueError("input light must be a single mode")
     return _store_conditioning(
@@ -225,16 +225,6 @@ def _conditioning(input_light, params):
         input_light.cov.tobytes(),
         struct.pack("3d", params.coupling, params.atom_var_x, params.atom_var_p),
     )
-
-
-def store_update(input_light, params):
-    """Cached outcome-independent half of storing ``input_light``.
-
-    The :class:`~qmemsim.gaussian.HomodyneUpdate` of measuring the
-    transmitted light X after the interaction: its ``mu_q`` and ``var_q``
-    are the marginal of the feedback outcome.
-    """
-    return _conditioning(input_light, params)[0]
 
 
 def store_conditional(input_light, params, rng=None, fixed_outcome=None):
@@ -246,13 +236,13 @@ def store_conditional(input_light, params, rng=None, fixed_outcome=None):
     covariance does not depend on the outcome, so it is computed once per
     distinct input and shared, read-only, by the states returned.
     """
-    update, state = _conditioning(input_light, params)
+    update = store_update(input_light, params)
     outcome, mean = update.condition(rng, fixed_outcome)
     # feedback displaces the atomic P by -gain * outcome; adding 0.0 to X
     # turns a -0.0 into +0.0 exactly as displace(state, mode, 0.0, dp) does
     mean[0] += 0.0
     mean[1] += -params.gain * outcome
-    return outcome, state._with_mean(mean)
+    return outcome, update.state._with_mean(mean)
 
 
 @functools.lru_cache(maxsize=64)
@@ -353,8 +343,9 @@ def reverse_readout(
         raise ValueError("expected a single atomic mode")
     if aux_coupling <= 0:
         raise ValueError("auxiliary coupling must be positive")
-    aux = None if aux_light is None else (aux_light.mode_names, aux_light.cov.tobytes())
-    given = () if aux_light is None else (aux_light.mean,)
+    aux = None if aux_light is None else (
+        aux_light.mode_names, aux_light.mean.tobytes(), aux_light.cov.tobytes()
+    )
     # X_aux reads -aux_coupling * X_atom; feeding back -g times the
     # rescaled record means displacing P_light by +g/aux_coupling * X_aux.
     feedback = reverse_gain / aux_coupling
@@ -363,28 +354,28 @@ def reverse_readout(
         atomic_state.cov.tobytes(),
         aux,
         struct.pack("3d", params.coupling, aux_coupling, feedback),
-    ).apply(atomic_state.mean, *given)
+    ).apply(atomic_state.mean)
 
 
 @functools.lru_cache(maxsize=64)
 def _readout_steps(atom_name, atom_cov, aux, knobs):
-    """The :class:`GaussianChannel` of :func:`reverse_readout`; ``aux`` is
-    ``None`` for a vacuum auxiliary pulse, else its mode names and covariance bytes."""
+    """The :class:`GaussianChannel` of :func:`reverse_readout`; ``aux`` is ``None``
+    for a vacuum auxiliary pulse, else its mode names, mean bytes and covariance bytes."""
     coupling, aux_coupling, feedback = struct.unpack("3d", knobs)
     atoms = GaussianState([atom_name], _ZEROS, np.frombuffer(atom_cov).reshape(2, 2))
     if aux is None:
         aux_light = vacuum_state([AUX])
     else:
-        names, cov = aux
+        names, mean, cov = aux
         dim = 2 * len(names)
-        aux_light = GaussianState(names, np.zeros(dim), np.frombuffer(cov).reshape(dim, dim))
+        aux_light = GaussianState(names, np.frombuffer(mean), np.frombuffer(cov).reshape(dim, dim))
     return (
         GaussianChannel(atoms)
         .join(vacuum_state([READOUT]), first=True)
         .then(interaction_map(coupling))
         # auxiliary measurement of the (post-interaction) atomic X
         .then(SymplecticMap.rotation(np.pi / 2).embed([1], 2))
-        .join(aux_light, given=aux is not None)
+        .join(aux_light)
         .then(interaction_map(aux_coupling).embed([2, 1], 3))
         .feedback(AUX, READOUT, feedback, keep=[READOUT])
         .then(SymplecticMap.rotation(np.pi))

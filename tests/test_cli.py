@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qmemsim
-from qmemsim import _csv, cli, fidelity, montecarlo
+from qmemsim import _csv, cli, fidelity, microscopic, montecarlo
 from qmemsim.cli import _write_table, main
 from qmemsim.fidelity import MAX_NODES
 
@@ -117,8 +117,23 @@ class TestStore:
         assert digest(tmp_path / "out" / "trials.csv") != base
 
     def test_negative_seed_flag_accepted(self, tmp_path):
-        # store masks any integer seed to a 64-bit stream key
+        # store takes any int64 seed, which the stream key masks to 64 bits
         assert run(tmp_path, "store", STORE_CONFIG, ["--seed", "-1"]) == 0
+
+    def test_lowest_int64_seed_accepted(self, tmp_path):
+        assert run(tmp_path, "store", {**STORE_CONFIG, "seed": -2**63}) == 0
+
+    @pytest.mark.parametrize("seed", [2**63, 2**64])
+    @pytest.mark.parametrize("by_flag", [False, True], ids=["config", "flag"])
+    def test_seed_past_int64_names_key(self, tmp_path, capsys, seed, by_flag):
+        # masked to 64 bits, 2**64 would give the bytes of seed 0
+        if by_flag:
+            code = run(tmp_path, "store", STORE_CONFIG, ["--seed", str(seed)])
+        else:
+            code = run(tmp_path, "store", {**STORE_CONFIG, "seed": seed})
+        assert code == 2
+        assert "'seed'" in capsys.readouterr().err
+        assert not any((tmp_path / "out").iterdir())
 
     def test_format_filter(self, tmp_path):
         assert run(tmp_path, "store", STORE_CONFIG, ["--format", "json"]) == 0
@@ -178,6 +193,7 @@ class TestStore:
         # cli names them itself, so that its import loads no montecarlo
         assert cli.MIN_TRIALS == montecarlo.MIN_TRIALS
         assert cli.MIN_HISTOGRAM_BINS == montecarlo.MIN_BINS
+        assert cli.MIN_TIME_BINS == microscopic.MIN_TIME_BINS
 
 
 class TestFidelity:
@@ -446,6 +462,19 @@ class TestMicroscopic:
         assert run(tmp_path, "microscopic", {"bins": 4096, **config}) == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out" / "microscopic.json").exists()
+
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ({"sweep": False, "sweep_bins": 5}, "sweep_bins"),  # read or not
+            ({"sweep_bins": 5}, "sweep_bins"),
+            ({"bins": 9}, "bins"),
+        ],
+    )
+    def test_too_few_bins_names_only_its_key(self, tmp_path, capsys, config, key):
+        assert run(tmp_path, "microscopic", config) == 2
+        assert re.findall(r"'(\w+)'", capsys.readouterr().err) == [key]
+        assert not any((tmp_path / "out").iterdir())
 
 
 class TestLifetime:

@@ -302,9 +302,7 @@ def reference_feedback(joint, measured_mode, targets):
     lin = np.eye(joint.mean.size)
     for mode, quad, gain in targets:
         lin[joint.quad_index(mode, quad), q] += gain
-    reduced = GaussianState(
-        joint.mode_names, lin @ joint.mean, lin @ joint.cov @ lin.T, copy=False
-    )
+    reduced = GaussianState(joint.mode_names, lin @ joint.mean, lin @ joint.cov @ lin.T)
     measured = joint.mode_names[joint.mode_index(measured_mode)]
     return partial_trace(reduced, [n for n in joint.mode_names if n != measured])
 
@@ -400,7 +398,7 @@ class TestAveragedCaches:
         reverse_gain=signed(-3.0, 3.0),
         aux_coupling=signed(0.05, 3.0),
         aux=st.none() | st.tuples(
-            st.lists(signed(-2.0, 2.0), min_size=4, max_size=4),
+            st.lists(signed(-2.0, 2.0), min_size=2, max_size=2),
             st.sampled_from([0.005, 0.5, 2.0]) | st.floats(0.005, 3.0),
             st.floats(1.0, 3.0),
             signed(-0.01, 0.01),
@@ -412,20 +410,38 @@ class TestAveragedCaches:
     ):
         params = StorageParams(coupling=coupling)
         var_p = unit_product(var_x, excess)
-        for i in (0, 2):  # a miss, then a hit at other means
+        aux_light = None
+        if aux is not None:  # displaced, and squeezed at small aux_x
+            (aux_x0, aux_p0), aux_x, aux_excess, aux_xp = aux
+            aux_light = single_mode(
+                "aux", aux_x0, aux_p0, aux_x, unit_product(aux_x, aux_excess), aux_xp
+            )
+        for i in (0, 2):  # a miss, then a hit at another atomic mean
+            hits = protocol._readout_steps.cache_info().hits
             atoms = single_mode(atom_name, means[i], means[i + 1], var_x, var_p, cov_xp)
-            aux_light = None
-            if aux is not None:  # displaced, and squeezed at small aux_x
-                aux_means, aux_x, aux_excess, aux_xp = aux
-                aux_light = single_mode(
-                    "aux", aux_means[i], aux_means[i + 1], aux_x,
-                    unit_product(aux_x, aux_excess), aux_xp,
-                )
-            assert_same_outcome(
+            got = assert_same_outcome(
                 reverse_readout, reference_readout, atoms, params,
                 reverse_gain=reverse_gain, aux_coupling=aux_coupling,
                 aux_light=aux_light,
             )
+            if i and got[0] is not ValueError:
+                assert protocol._readout_steps.cache_info().hits == hits + 1
+
+    def test_aux_pulses_differing_only_in_mean(self):
+        # the aux mean is part of the key: each pulse is its own entry
+        protocol._readout_steps.cache_clear()
+        params = StorageParams(coupling=0.8)
+        pulses = [single_mode("aux", x, p, 0.3, 1.2, 0.01)
+                  for x, p in [(0.0, 0.0), (-0.0, 0.0), (1.5, -0.7)]]
+        for x, p in [(0.4, -1.1), (-2.0, 0.3)]:  # misses, then hits
+            atoms = single_mode(ATOMS, x, p, 0.6, 0.9)
+            for aux_light in pulses:
+                assert_same_outcome(
+                    reverse_readout, reference_readout, atoms, params,
+                    reverse_gain=0.9, aux_light=aux_light,
+                )
+        info = protocol._readout_steps.cache_info()
+        assert (info.misses, info.hits) == (3, 3)
 
     def test_errors_repeat_on_every_call(self):
         params = StorageParams()

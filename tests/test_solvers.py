@@ -5,6 +5,7 @@ comparison is of ``tobytes()``, so a one-ulp difference fails.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,17 +13,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import optimize, special
 
-from qmemsim import _solvers
-from qmemsim.decoherence import DecayParams, decay_channel
+from qmemsim import _solvers, decoherence
 from qmemsim.fidelity import (
     CoherentSet,
     _channel_exponents,
     _gauss_legendre,
-    average_fidelity,
     classical_fidelity,
     optimize_classical_gain,
 )
-from qmemsim.protocol import StorageParams, store_channel
+from qmemsim.protocol import StorageParams
 
 
 def same_bytes(a, b):
@@ -173,17 +172,16 @@ class TestBrentq:
     @settings(max_examples=15, deadline=None)
     @given(st.floats(2e-3, 6e-3), st.floats(0.0, 1.0))
     def test_calibrate_tau_gap_matches_scipy(self, crossing, excess):
+        # scipy on the gap, bracket and tolerances that calibrate_tau passes
         cset = CoherentSet(0.0, 10.0)
-        base = store_channel(StorageParams())
         _, f_class = optimize_classical_gain(cset.n_min, cset.n_max)
-
-        def gap(tau):
-            channel = decay_channel(base, crossing, DecayParams(tau, excess))
-            return average_fidelity(cset, channel) - f_class
-
-        ours = _solvers.brentq(gap, 1e-5, 1.0, 1e-12, 1e-12)
-        theirs = optimize.brentq(gap, 1e-5, 1.0, xtol=1e-12, rtol=1e-12)
-        assert same_bytes(ours, theirs)
+        with mock.patch.object(decoherence, "brentq", wraps=_solvers.brentq) as spy:
+            decay = decoherence.calibrate_tau(
+                cset, StorageParams(), crossing, excess, f_class=f_class
+            )
+        spy.assert_called_once()
+        (gap, lo, hi), tolerances = spy.call_args
+        assert same_bytes(decay.tau, optimize.brentq(gap, lo, hi, **tolerances))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_raises(self, bad):
