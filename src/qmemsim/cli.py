@@ -9,13 +9,15 @@ Subcommands::
     qmemsim lifetime    [--config ...] --out results/
 
 Each run is a pure function of (config, seed): outputs carry no
-timestamps, floats are written with 17 significant digits, and CSV files
-use comma separators with LF line endings.  Exit status is 0 on success,
-2 for configuration errors (the message names the offending key, or
+timestamps, CSV files use comma separators with LF line endings and write
+floats with 17 significant digits, and JSON files write them as Python's
+shortest round-trip ``repr``.  Exit status is 0 on success, 2 for
+configuration errors (the message names the offending key, or
 ``--config``, ``--out`` or the output file that could not be read, made or
-written), 3 for numerical failures such as quadrature or fit
-non-convergence, overflow, or a result that is not finite; either prints
-one line to stderr and no warning, and leaves no file that the run wrote.
+written) and for a bad flag, 3 for numerical failures such as quadrature
+or fit non-convergence, overflow, or a result that is not finite; either
+prints one line to stderr and no warning, and leaves no file that the run
+wrote.
 
 Each ``compute_<name>(cfg)`` returns its outputs as data, ``{file name:
 value}``: a table ``(header, block, ...)`` for ``.csv``, a document dict
@@ -42,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .protocol import ChannelSummary, StorageParams
+from .protocol import ChannelSummary, StorageParams, check_uncertainty, store_channel
 
 ALL_FORMATS = ("csv", "json", "svg")
 #: longest lifetime curve, in time points (t_max_ms / t_step_ms)
@@ -144,13 +146,19 @@ def _resolve(config, fields):
 
 #: the longest config key or value that an error message quotes
 _QUOTED_CHARS = 60
+#: the longest argparse message on a bad flag, whose values it quotes in full
+_FLAG_ERROR_CHARS = 150
+
+
+def _clipped(text, limit):
+    """``text``, cut to ``limit`` characters with an ellipsis."""
+    return text if len(text) <= limit else text[:limit - 3] + "..."
 
 
 def _quoted(raw):
     """``repr(raw)``, clipped with an ellipsis, so that a long or deeply nested
     value still makes a one-line error of a bounded length."""
-    text = repr(raw)
-    return text if len(text) <= _QUOTED_CHARS else text[:_QUOTED_CHARS - 3] + "..."
+    return _clipped(repr(raw), _QUOTED_CHARS)
 
 
 def _real(raw):
@@ -239,14 +247,11 @@ def compute_store(cfg):
                                        cfg["seed"])
             for arm in (montecarlo.ARM_P, montecarlo.ARM_X)
         }
-    hists = {}
     with _bad_value(*keys, "histogram_bins"):
-        for arm, trials in series.items():
-            ref_mean, ref_sd = montecarlo.ideal_reference(params, arm, input_mean)
-            hists[arm] = montecarlo.make_histogram(
-                trials, bins=cfg["histogram_bins"], scale=montecarlo.ARM_SIGN[arm] / k_r,
-                ref_mean=ref_mean, ref_sd=ref_sd,
-            )
+        hists = {
+            arm: montecarlo.make_histogram(trials, cfg["histogram_bins"], k_r, input_mean)
+            for arm, trials in series.items()
+        }
     with (_bad_value(*keys, what="the moments of the outcomes overflow"),
           warnings.catch_warnings()):
         # a negative variance is written to reconstructed.json as it is
@@ -257,16 +262,7 @@ def compute_store(cfg):
 
     x_in, p_in = input_mean
     report = {
-        "reconstructed": {
-            "mean_x": recon.mean_x,
-            "mean_p": recon.mean_p,
-            "var_x": recon.var_x,
-            "var_p": recon.var_p,
-            "se_mean_x": recon.se_mean_x,
-            "se_mean_p": recon.se_mean_p,
-            "se_var_x": recon.se_var_x,
-            "se_var_p": recon.se_var_p,
-        },
+        "reconstructed": dataclasses.asdict(recon),
         "gains": {
             "gain_x": recon.mean_x / p_in if p_in else None,
             "gain_p": -recon.mean_p / x_in if x_in else None,
@@ -329,38 +325,31 @@ def compute_fidelity(cfg):
     configured = all(v is not None for v in channel_values)
     if not configured and any(v is not None for v in channel_values):
         raise ValueError("provide all of gain_x, gain_p, var_x, var_p or none")
-    # the uncertainty relation, with the slack StorageParams allows the atoms
     with _bad_value("var_x", "var_p"):
-        if configured and cfg["var_x"] * cfg["var_p"] < 0.25 - 1e-9:
-            raise ValueError("var_x * var_p < 1/4 violates the uncertainty relation")
+        if configured:
+            check_uncertainty(cfg["var_x"], cfg["var_p"], ("var_x", "var_p"))
     n_min, n_max, tol = cfg["n_min"], cfg["n_max"], cfg["quad_tol"]
     with _bad_value(
         "n_min", "n_max", *(channel_keys if configured else ()), "quad_tol",
         what=f"the fidelity quadrature over photon numbers [{n_min}, {n_max}] overflows",
     ):
         cset = CoherentSet(n_min, n_max)
-        ideal = ChannelSummary(1.0, 1.0, 1.0, 0.5)
-        channel_rows = [
-            ("ideal_css_protocol", 1.0, 1.0, 1.0, 0.5, average_fidelity(cset, ideal, tol))
-        ]
+        channels = {"ideal_css_protocol": store_channel(StorageParams())}
         if configured:
-            channel = ChannelSummary(*channel_values)
-            channel_rows.append(
-                ("configured_channel", *channel_values, average_fidelity(cset, channel, tol))
-            )
+            channels["configured_channel"] = ChannelSummary(*channel_values)
+        channel_fids = {
+            label: average_fidelity(cset, channel, tol) for label, channel in channels.items()
+        }
         g_opt, f_max = optimize_classical_gain(n_min, n_max)
     classical = {
         "classical_optimum": f_max,
         "classical_unit_gain": classical_fidelity(1.0, n_min, n_max),
     }
-    labels, *channel_columns = zip(*channel_rows)
-    fidelities = {**dict(zip(labels, channel_columns[-1])), **classical}
 
     g_report = round(g_opt, 3)
-    bound_pn_g1 = 2.0 * classical_variance_bound(1.0)
     bound_pn_opt = 2.0 * classical_variance_bound(g_report)
     boundaries = {
-        "arbitrary_input_bound_pn": bound_pn_g1,
+        "arbitrary_input_bound_pn": 2.0 * classical_variance_bound(1.0),
         "set_optimal_gain": g_opt,
         "set_optimal_gain_reported": g_report,
         "set_bound_pn": bound_pn_opt,
@@ -369,8 +358,10 @@ def compute_fidelity(cfg):
     boundary_labels, boundary_values = zip(*sorted(boundaries.items()))
     return {
         "fidelity.csv": (
-            ["label", "gain_x", "gain_p", "var_x", "var_p", "value"],
-            (labels, *map(np.array, channel_columns)),
+            ["label", *channel_keys, "value"],
+            (list(channels),
+             *(np.array([getattr(c, key) for c in channels.values()]) for key in channel_keys),
+             np.array(list(channel_fids.values()))),
             # the classical rows leave the channel cells blank
             (list(classical), *[("", "")] * 4, np.array(list(classical.values()))),
         ),
@@ -379,7 +370,7 @@ def compute_fidelity(cfg):
         ),
         "fidelity.json": {
             "set": {"n_min": cset.n_min, "n_max": cset.n_max},
-            "fidelities": fidelities,
+            "fidelities": {**channel_fids, **classical},
             "classical_optimum": {"gain": g_opt, "fidelity": f_max},
             "boundaries": boundaries,
         },
@@ -424,14 +415,7 @@ def compute_calibrate(cfg):
             calibration.COLUMNS,
             tuple(getattr(series, name) for name in calibration.COLUMNS),
         ),
-        "calibration_fit.json": {
-            "slope": fit.slope,
-            "slope_se": fit.slope_se,
-            "quadratic_coeff": fit.quadratic_coeff,
-            "chi2_per_dof": fit.chi2_per_dof,
-            "n_used": fit.n_used,
-            "jx_cut": fit.jx_cut,
-        },
+        "calibration_fit.json": dataclasses.asdict(fit),
     }
 
 
@@ -583,8 +567,18 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser``, and through ``add_subparsers`` each subcommand's,
+    whose bad-flag error is one ``error:`` line like any other exit 2, in
+    place of argparse's usage lines and a message that quotes a flag's value
+    in full."""
+
+    def error(self, message):
+        sys.exit(_fail(2, f"error: {_clipped(' '.join(message.split()), _FLAG_ERROR_CHARS)}"))
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qmemsim",
         description="Measurement-feedback quantum-memory simulation runner",
     )

@@ -85,15 +85,13 @@ class ReconstructedState:
     """Atomic memory moments estimated from the two verification arms."""
 
     mean_x: float
-    mean_p: float
     var_x: float
-    var_p: float
     se_mean_x: float
-    se_mean_p: float
     se_var_x: float
+    mean_p: float
+    var_p: float
+    se_mean_p: float
     se_var_p: float
-    n_trials_x: int
-    n_trials_p: int
 
 
 def _series_coefficients(input_mean, params, arm):
@@ -173,31 +171,21 @@ def estimate_channel(series_p, series_x, readout_coupling):
     k_r = readout_coupling
 
     def moments(values, sign):
+        """``(mean, var, se_mean, se_var)`` of one arm's stored quadrature."""
         n = values.size
         s2 = float(np.var(values, ddof=1))
         mean = sign * float(np.mean(values)) / k_r
         se_mean = np.sqrt(s2 / n) / abs(k_r)
         var = reconstruct_atomic_variance(s2, k_r)
         se_var = s2 * np.sqrt(2.0 / (n - 1)) / k_r**2
-        return mean, se_mean, var, se_var, n
+        return mean, var, se_mean, se_var
 
-    mean_p, se_mean_p, var_p, se_var_p, n_p = moments(v_p, ARM_SIGN[ARM_P])
-    mean_x, se_mean_x, var_x, se_var_x, n_x = moments(v_x, ARM_SIGN[ARM_X])
-    return ReconstructedState(
-        mean_x=mean_x,
-        mean_p=mean_p,
-        var_x=var_x,
-        var_p=var_p,
-        se_mean_x=se_mean_x,
-        se_mean_p=se_mean_p,
-        se_var_x=se_var_x,
-        se_var_p=se_var_p,
-        n_trials_x=n_x,
-        n_trials_p=n_p,
-    )
+    p = moments(v_p, ARM_SIGN[ARM_P])
+    x = moments(v_x, ARM_SIGN[ARM_X])
+    return ReconstructedState(*x, *p)
 
 
-def ideal_reference(params, arm, input_mean):
+def ideal_reference(readout_coupling, arm, input_mean):
     """Mean and spread of the scaled readout for a perfect memory.
 
     The overlay curve for histograms: a lossless memory stores the input
@@ -205,24 +193,32 @@ def ideal_reference(params, arm, input_mean):
     the stored quadrature with the shot-noise floor on top.
     """
     x_in, p_in = input_mean
-    k_r = params.readout_coupling
     ref_mean = -x_in if arm == ARM_P else p_in
     try:
-        ref_sd = np.sqrt(0.5 + 0.5 / k_r**2)
-    except ZeroDivisionError:  # k_r**2 underflows to 0
+        ref_sd = np.sqrt(0.5 + 0.5 / readout_coupling**2)
+    except ZeroDivisionError:  # readout_coupling**2 underflows to 0
         raise ZeroDivisionError(
             f"reference spread sqrt(1/2 + 1/(2 readout_coupling^2)) is infinite "
-            f"at readout_coupling {k_r}"
+            f"at readout_coupling {readout_coupling}"
         ) from None
     return ref_mean, ref_sd
 
 
-def make_histogram(series, bins=50, scale=1.0, ref_mean=0.0, ref_sd=1.0):
-    """Equal-width histogram of a series' scaled verification outcomes."""
+def make_histogram(series, bins=50, readout_coupling=1.0, input_mean=(0.0, 0.0)):
+    """Equal-width histogram of a series' verification outcomes, scaled to the
+    stored quadrature.
+
+    The scale is the arm's :data:`ARM_SIGN` over ``readout_coupling``, as in
+    :func:`estimate_channel`, and the reference curve is the
+    :func:`ideal_reference` of the series' arm for the coherent input of mean
+    ``input_mean``.
+    """
     if bins < MIN_BINS:
         raise ValueError(f"at least {MIN_BINS} bins required")
     if not len(series):
         raise ValueError("no records to bin")
+    ref_mean, ref_sd = ideal_reference(readout_coupling, series.arm, input_mean)
+    scale = ARM_SIGN[series.arm] / readout_coupling
     samples = scale * series.verification
     lo, hi = float(samples.min()), float(samples.max())
     if lo == hi:  # degenerate data still gets a well-formed histogram

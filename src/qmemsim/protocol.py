@@ -46,6 +46,7 @@ __all__ = [
     "GaussianChannel",
     "StorageParams",
     "ChannelSummary",
+    "check_uncertainty",
     "interaction_map",
     "store_update",
     "store_conditional",
@@ -94,10 +95,14 @@ class StorageParams:
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive")
-        if self.atom_var_x * self.atom_var_p < 0.25 - 1e-9:
-            raise ValueError(
-                "atom_var_x * atom_var_p < 1/4 violates the uncertainty relation"
-            )
+        check_uncertainty(self.atom_var_x, self.atom_var_p, ("atom_var_x", "atom_var_p"))
+
+
+def check_uncertainty(var_x, var_p, names):
+    """Raise ``ValueError`` when ``var_x * var_p`` is below 1/4 by more than a
+    1e-9 slack; ``names`` are the two variances' names for the message."""
+    if var_x * var_p < 0.25 - 1e-9:
+        raise ValueError(f"{names[0]} * {names[1]} < 1/4 violates the uncertainty relation")
 
 
 @dataclass(frozen=True)

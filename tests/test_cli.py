@@ -1,6 +1,7 @@
 """End-to-end CLI tests: files, determinism, exit codes."""
 
 import csv
+import dataclasses
 import errno
 import hashlib
 import itertools
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qmemsim
-from qmemsim import _csv, cli, fidelity, microscopic, montecarlo
+from qmemsim import _csv, calibration, cli, fidelity, microscopic, montecarlo
 from qmemsim.cli import _write_table, main
 from qmemsim.fidelity import MAX_NODES
 
@@ -99,6 +100,12 @@ class TestStore:
         assert recon["var_p"] == pytest.approx(0.5, abs=5 * recon["se_var_p"])
         assert recon["mean_x"] == pytest.approx(-4.0, abs=5 * recon["se_mean_x"])
         assert report["gains"]["gain_x"] == pytest.approx(1.0, abs=0.05)
+
+    def test_report_has_the_reconstructed_state_fields(self, tmp_path):
+        assert run(tmp_path, "store", STORE_CONFIG) == 0
+        report = json.loads((tmp_path / "out" / "reconstructed.json").read_text())
+        fields = {f.name for f in dataclasses.fields(montecarlo.ReconstructedState)}
+        assert set(report["reconstructed"]) == fields
 
     @pytest.mark.parametrize("seed", [0, 2, 3])
     def test_negative_variance_exits_zero_silently(self, tmp_path, seed):
@@ -294,6 +301,7 @@ class TestCalibrate:
             (tmp_path / "out" / "calibration_fit.json").read_text()
         )
         assert fit["slope"] == pytest.approx(0.8, abs=4 * fit["slope_se"])
+        assert set(fit) == {f.name for f in dataclasses.fields(calibration.CalibrationFit)}
 
     def test_csv_input_round_trip(self, tmp_path):
         assert run(tmp_path, "calibrate", {"seed": 3}) == 0
@@ -575,6 +583,37 @@ def test_seed_flag_only_where_there_is_a_seed(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["store", "--seed", "abc"],
+    ["store", "--bogus"],
+    ["store", "--format", "pdf"],
+    ["fidelity", "--seed", "3"],
+    [],
+    ["store", "--seed", "x" * 3001],
+    ["store", "--seed", "9" * 5000],  # past int()'s digit limit
+    ["x" * 3001],
+    ["store", "--bogus", "a\nb"],
+], ids=["seed-not-int", "unknown-flag", "unknown-format", "seed-without-seed-key",
+        "no-command", "long-seed", "long-int-seed", "long-command", "newline"])
+def test_bad_flag_gives_one_short_error_line(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)  # where --out points by default
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) <= 200
+    assert out == "" and not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["store", "--help"]])
+def test_help_goes_to_stdout(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 0
+    assert out.startswith("usage: qmemsim") and err == ""
+
+
 def test_failed_write_removes_earlier_outputs(tmp_path, monkeypatch, capsys):
     def compute(cfg):
         return {
@@ -612,8 +651,10 @@ def test_non_finite_json_exits_three_naming_it(tmp_path, monkeypatch, capsys):
     # a path too long to open: the OSError quotes it
     ("calibrate", {"series_csv": "x" * 3000}, (), "'series_csv'"),
     ("fidelity", None, ("--config", "x" * 3000), "'--config'"),
+    # a flag value that argparse rejects: its message quotes the value in full
+    ("store", None, ("--seed", "x" * 3001), "--seed"),
 ], ids=["nested", "long-string", "long-integer", "long-list", "long-float-string",
-        "long-key", "long-series-csv-path", "long-config-path"])
+        "long-key", "long-series-csv-path", "long-config-path", "long-seed-flag"])
 def test_long_value_gives_a_short_error_line(tmp_path, command, config, args, named):
     code, err = run_subprocess(tmp_path, command, config, *args)
     assert code == 2, err

@@ -10,6 +10,7 @@ from qmemsim.gaussian import coherent_state, homodyne_measure
 from qmemsim.montecarlo import (
     _ARM_TAGS,
     ARM_P,
+    ARM_SIGN,
     ARM_X,
     TrialSeries,
     estimate_channel,
@@ -205,7 +206,7 @@ class TestHistogram:
     def test_counts_cover_all_samples(self):
         params = StorageParams()
         trials = run_series((0.0, 0.0), params, ARM_P, 5_000, seed=2)
-        hist = make_histogram(trials, bins=40, scale=1.0)
+        hist = make_histogram(trials, bins=40)
         assert hist.counts.sum() == 5_000
         assert hist.bin_edges.shape == (41,)
 
@@ -246,10 +247,20 @@ class TestHistogram:
             est.var_p, rel=1e-12
         )
 
+    @pytest.mark.parametrize("arm", [ARM_P, ARM_X])
+    def test_scale_and_reference_follow_the_arm(self, arm):
+        k_r, input_mean = 0.8, (1.5, -2.0)
+        trials = run_series(input_mean, StorageParams(readout_coupling=k_r), arm, 500, seed=4)
+        hist = make_histogram(trials, bins=20, readout_coupling=k_r, input_mean=input_mean)
+        assert hist.scaled_by == ARM_SIGN[arm] / k_r
+        assert (hist.ref_mean, hist.ref_sd) == ideal_reference(k_r, arm, input_mean)
+        scaled = hist.scaled_by * trials.verification
+        assert (hist.bin_edges[0], hist.bin_edges[-1]) == (scaled.min(), scaled.max())
+
     def test_ideal_reference_values(self):
         params = StorageParams()
-        mean_p, sd = ideal_reference(params, ARM_P, (1.0, -4.0))
-        mean_x, _ = ideal_reference(params, ARM_X, (1.0, -4.0))
+        mean_p, sd = ideal_reference(params.readout_coupling, ARM_P, (1.0, -4.0))
+        mean_x, _ = ideal_reference(params.readout_coupling, ARM_X, (1.0, -4.0))
         assert mean_p == -1.0  # stored P is -x_in for a perfect memory
         assert mean_x == -4.0  # stored X is p_in
         assert sd == pytest.approx(1.0)  # 1/2 shot + 1/2 ideal at k_r = 1

@@ -57,7 +57,9 @@ def degenerate():
     """Equal outcomes: ``make_histogram`` widens the range to one unit."""
     outcomes = np.full(100, 1.5)
     series = montecarlo.TrialSeries(montecarlo.ARM_P, outcomes, outcomes)
-    return drawn(plots.histogram_svg, [montecarlo.make_histogram(series, bins=5, ref_mean=1.5)])
+    # the p arm's reference sits at -input_x
+    hist = montecarlo.make_histogram(series, bins=5, input_mean=(-1.5, 0.0))
+    return drawn(plots.histogram_svg, [hist])
 
 
 CHARTS = {
