@@ -23,7 +23,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 STORE = {"input_x": 0.0, "input_p": -4.0}  # store's two required keys
 #: row -> (subcommand, config, timeout in s, peak-RSS ceiling in MiB)
 ROWS = {
-    "store-caps": ("store", {**STORE, "n_trials": 1_000_000, "histogram_bins": 100_000}, 60, 110),
+    "store-caps": ("store", {**STORE, "n_trials": 1_000_000, "histogram_bins": 100_000}, 60, 100),
     "calibrate-caps": ("calibrate", {"jx_points": 1_000_000, "n_cycles": 10**12}, 60, 200),
     # a path in the work directory: the series that calibrate-caps wrote
     "calibrate-refit": ("calibrate", {"series_csv": "calibrate-caps/calibration_points.csv"}, 60, 200),

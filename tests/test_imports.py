@@ -1,6 +1,7 @@
 """Start-up guard: importing the package and running any subcommand loads
 no scipy module, since scipy is a test-only oracle, and each subcommand
-loads only the qmemsim modules and numpy subpackages it runs.
+loads only the qmemsim modules and numpy subpackages it runs.  Only
+``calibrate`` loads ``numpy.random``, and with it OpenSSL's ``_hashlib``.
 
 Each check runs in a fresh interpreter, since this test session has long
 since imported scipy itself.
@@ -22,13 +23,14 @@ _REPORT = (
     "import json, sys\n"
     "print(json.dumps(sorted(m for m in sys.modules"
     " if m.split('.')[0] in ('scipy', 'qmemsim')"
-    " or m in ('numpy', 'numpy.random', 'numpy.polynomial'))))\n"
+    " or m in ('numpy', 'numpy.random', 'numpy.polynomial', '_hashlib'))))\n"
 )
 
 
 def loaded_after(tmp_path, code):
-    """The scipy and qmemsim modules, and ``numpy`` with its ``random`` and
-    ``polynomial`` subpackages, loaded once ``code`` has run."""
+    """The scipy and qmemsim modules, ``numpy`` with its ``random`` and
+    ``polynomial`` subpackages, and OpenSSL's ``_hashlib``, loaded once
+    ``code`` has run."""
     proc = subprocess.run(
         [sys.executable, "-c", code + "\n" + _REPORT],
         capture_output=True, text=True, timeout=120, cwd=tmp_path,
@@ -56,21 +58,23 @@ IMPORT_LOADS = {
     "import qmemsim": {"qmemsim"},
     "import qmemsim.cli": CLI,
     "from qmemsim import gaussian, protocol, microscopic, montecarlo": {
-        "numpy", "numpy.random", "qmemsim", "qmemsim.gaussian", "qmemsim.protocol",
+        "numpy", "qmemsim", "qmemsim.gaussian", "qmemsim.protocol",
         "qmemsim.microscopic", "qmemsim.montecarlo", "qmemsim.kernels", "qmemsim.rng",
         "qmemsim._solvers",
     },
 }
 
 #: what each subcommand loads on top of ``CLI``.  Only store and calibrate
-#: draw random numbers, and only fidelity and lifetime use numpy.polynomial
-#: (for the Gauss-Legendre nodes).
+#: draw random numbers, and only calibrate through numpy.random, whose import
+#: loads OpenSSL (``_hashlib``); store's Philox stream is ``qmemsim.rng``'s
+#: own.  Only fidelity and lifetime use numpy.polynomial (for the
+#: Gauss-Legendre nodes).
 SUBCOMMAND_LOADS = {
     "store": {"qmemsim.montecarlo", "qmemsim.kernels", "qmemsim.rng",
-              "qmemsim._solvers", "qmemsim.plots", "qmemsim._csv", "numpy.random"},
+              "qmemsim._solvers", "qmemsim.plots", "qmemsim._csv"},
     "fidelity": {"qmemsim.fidelity", "qmemsim._solvers", "qmemsim._csv",
                  "numpy.polynomial"},
-    "calibrate": {"qmemsim.calibration", "qmemsim._csv", "numpy.random"},
+    "calibrate": {"qmemsim.calibration", "qmemsim._csv", "numpy.random", "_hashlib"},
     "microscopic": {"qmemsim.microscopic", "qmemsim.kernels", "qmemsim._csv"},
     "lifetime": {"qmemsim.decoherence", "qmemsim.fidelity", "qmemsim._solvers",
                  "qmemsim.plots", "qmemsim._csv", "numpy.polynomial"},

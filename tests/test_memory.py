@@ -41,8 +41,9 @@ class Sha256Writer(io.TextIOBase):
 
 def test_sampler_chunk_peak():
     key = stream_key(0, 1)
-    # 65 536 trials is montecarlo.run_series's chunk; its own output is 1 MiB
-    assert traced_peak(lambda: trial_normals(key, 0, 1 << 16)) < 4 * MIB
+    # 65 536 trials is montecarlo.run_series's chunk; its own output is 1 MiB,
+    # and the rounds' limb buffers and uniforms of one block are 448 KiB
+    assert traced_peak(lambda: trial_normals(key, 0, 1 << 16)) < 2.5 * MIB
 
 
 def test_histogram_svg_at_the_bin_cap():

@@ -2,12 +2,35 @@
 
 import numpy as np
 import pytest
-from numpy.random import Generator, Philox
+from numpy.random import Generator, Philox, SeedSequence
 from numpy.testing import assert_allclose
 
 from qmemsim import kernels
 from qmemsim._solvers import ndtri
-from qmemsim.rng import _NDTRI_BLOCK_ROWS, DRAWS_PER_TRIAL, stream_key, trial_normals
+from qmemsim.rng import (
+    _COUNTER_END, _NDTRI_BLOCK_ROWS, DRAWS_PER_TRIAL, stream_key, trial_normals,
+)
+
+
+def numpy_normals(key, start, n_trials, width):
+    """The oracle of the port: numpy's Philox stream, read as trial_normals reads it."""
+    bg = Philox(key=key)
+    bg.advance(start)
+    u = Generator(bg).random(n_trials * DRAWS_PER_TRIAL).reshape(n_trials, -1)
+    return ndtri(u[:, :width] + 2.0**-54)
+
+
+def stream_key_cases():
+    """300 seeded (seed, tags) cases, the int64 extremes among them."""
+    rng = np.random.default_rng(2024)
+    cases = [(seed, tags) for seed in (0, -1, -2**63, 2**63 - 1)
+             for tags in ((), (0,), (1, 2), (2**63, 0, 7))]
+    while len(cases) < 300:
+        seed = int(rng.integers(-2**63, 2**63 - 1, endpoint=True))
+        tags = tuple(int(rng.integers(0, 2**int(rng.integers(1, 65)), dtype=np.uint64))
+                     for _ in range(int(rng.integers(0, 4))))
+        cases.append((seed, tags))
+    return cases
 
 
 def loop_bin_sweep(kappa_cos, kappa_sin, vectors):
@@ -79,6 +102,60 @@ class TestTrialNormals:
         blocked = trial_normals(key, start, n_trials, width=width)
         assert blocked.shape == whole.shape == (n_trials, width)
         assert blocked.tobytes() == whole.tobytes()
+
+    def test_stream_key_is_numpys_seed_sequence(self):
+        for seed, tags in stream_key_cases():
+            entropy = [value & 0xFFFFFFFF_FFFFFFFF for value in (seed, *tags)]
+            expected = SeedSequence(entropy).generate_state(2, np.uint64)
+            key = stream_key(seed, *tags)
+            assert key.dtype == np.uint64
+            assert key.tobytes() == expected.tobytes(), (seed, tags)
+
+    @pytest.mark.parametrize("start, n_trials", [
+        (4099, 20_000),  # the chunk size of perfbench's chunking check
+        (1, _NDTRI_BLOCK_ROWS + 3),
+        (2**32 - 5, 10),  # counters that cross into a second 32-bit limb
+        (_COUNTER_END - 1, 1),  # the last counter of the first word
+        (_COUNTER_END - (_NDTRI_BLOCK_ROWS + 5), _NDTRI_BLOCK_ROWS + 5),
+    ])
+    @pytest.mark.parametrize("width", [2, 3, 4])
+    def test_unaligned_and_top_starts_match_numpy(self, start, n_trials, width):
+        key = stream_key(3, 1)
+        expected = numpy_normals(key, start, n_trials, width)
+        assert trial_normals(key, start, n_trials, width).tobytes() == expected.tobytes()
+
+    def test_numpy_integers_are_taken(self):
+        key = stream_key(4)
+        expected = trial_normals(key, 5, 7, 2)
+        got = trial_normals(key, np.int64(5), np.uint32(7), width=np.int8(2))
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("start, n_trials, width", [
+        (0.5, 10, 2),  # read as trial 0's normals before
+        (0, 10.0, 2),
+        (0, 10, 2.0),
+        (True, 10, 2),
+        (0, True, 2),
+        (0, 10, True),  # read as width 1 before
+        ("0", 10, 2),
+    ])
+    def test_non_integers_are_refused(self, start, n_trials, width):
+        with pytest.raises(TypeError):
+            trial_normals(stream_key(1), start, n_trials, width)
+
+    @pytest.mark.parametrize("start, n_trials", [
+        (2**256, 1),  # numpy's advance wraps the 256-bit counter to trial 0
+        (_COUNTER_END, 1),
+        (0, _COUNTER_END + 1),
+        (2**64, 0),
+    ])
+    def test_counters_past_one_word_are_refused(self, start, n_trials):
+        with pytest.raises(ValueError, match=r"2\*\*64 - 1"):
+            trial_normals(stream_key(1), start, n_trials)
+
+    def test_range_may_end_at_the_last_counter(self):
+        assert trial_normals(stream_key(1), _COUNTER_END - 1, 1).shape == (1, 2)
+        assert trial_normals(stream_key(1), _COUNTER_END, 0).shape == (0, 2)
 
 
 class TestKernelBackends:
