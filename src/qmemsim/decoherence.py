@@ -107,8 +107,10 @@ def calibrate_tau(cset, storage_params, crossing, excess_noise_rate=0.0, *, f_cl
     ``crossing`` seconds equals ``f_class``, the best classical fidelity
     for the set as :func:`~qmemsim.fidelity.optimize_classical_gain`
     returns it.  Raises ``RuntimeError`` if the channel never beats it
-    and ``ValueError`` if it still beats it at the shortest ``tau`` of the
-    bracket (the crossing is too short to calibrate).
+    (not even undecayed) or still falls below it at the longest ``tau`` of
+    the bracket (the crossing is too long to calibrate), and
+    ``ValueError`` if it still beats it at the shortest ``tau`` (the
+    crossing is too short).
     """
     base = store_channel(storage_params)
 
@@ -118,8 +120,13 @@ def calibrate_tau(cset, storage_params, crossing, excess_noise_rate=0.0, *, f_cl
 
     lo, hi = TAU_BRACKET
     if gap(hi) <= 0:
+        if fidelity.average_fidelity(cset, base) <= f_class:
+            raise RuntimeError(
+                "channel never beats the classical benchmark; cannot calibrate"
+            )
         raise RuntimeError(
-            "channel never beats the classical benchmark; cannot calibrate"
+            f"crossing time {crossing} s is too long: the fidelity is below "
+            f"the classical benchmark at tau = {hi} s"
         )
     if gap(lo) > 0:
         raise ValueError(

@@ -132,6 +132,8 @@ def run_series(input_mean, params, arm, n_trials, seed, chunk_size=1 << 16):
         raise ValueError(f"arm must be {ARM_P!r} or {ARM_X!r}")
     if n_trials < 1:
         raise ValueError("need at least one trial")
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
     mean1, sd1, offset2, slope2, sd2 = _series_coefficients(
         input_mean, params, arm
     )
@@ -141,7 +143,7 @@ def run_series(input_mean, params, arm, n_trials, seed, chunk_size=1 << 16):
     verification = np.empty(n_trials)
     for start in range(0, n_trials, chunk_size):
         rows = slice(start, min(start + chunk_size, n_trials))
-        z = rng.trial_normals(key, start, rows.stop - start, width=2)
+        z = rng.trial_normals(key, start, rows.stop - start)
         kernels.two_stage_outcomes(
             z[:, 0], z[:, 1], mean1, sd1, offset2, slope2, sd2,
             feedback[rows], verification[rows],

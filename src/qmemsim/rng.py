@@ -2,9 +2,9 @@
 
 Trials are assigned fixed blocks of a Philox counter stream, so the
 normals consumed by trial ``i`` depend only on ``(key, i)`` and never on
-how the work is chunked or scheduled.  One Philox counter block holds
-four doubles, so each trial owns exactly one block (up to four normals),
-and chunk boundaries stay block-aligned by construction.
+how the work is chunked or scheduled.  Each trial owns exactly one Philox
+counter block, whose first two words give its two normals, so chunk
+boundaries stay block-aligned by construction.
 
 The stream is numpy's, computed here without ``numpy.random``, whose
 import loads ``secrets``, ``hmac`` and OpenSSL for nothing this module
@@ -17,14 +17,16 @@ first trial, read through ``Generator.random``, both bit for bit
   and D. E. Shaw, "Parallel random numbers: as easy as 1, 2, 3", SC11):
   ten rounds on a 256-bit counter of four 64-bit words under a 128-bit
   key, each round two 64x64 -> 128-bit multiplies, done here with uint64
-  ufuncs on 32-bit limbs;
+  ufuncs on 32-bit limbs.  The ten rounds are one loop, the same code
+  each time, from the counter to the output words;
 * the counter of trial ``i`` is ``(i + 1, 0, 0, 0)``.  numpy's Philox
   raises its counter by one before it makes each block, and
   ``advance(start)`` sets the counter to ``start``, so trial ``i`` of any
   call reads the block of counter ``i + 1``.  A range must stay in the
   first word, so its trials end by ``2**64 - 1`` (``_COUNTER_END``);
-* the four output words of a block are its four draws in order, and a
-  draw ``w`` is the uniform ``(w >> 11) * 2**-53`` of ``Generator.random``.
+* the four output words of a block are its four draws in order, of
+  which a trial reads the first two, and a draw ``w`` is the uniform
+  ``(w >> 11) * 2**-53`` of ``Generator.random``.
 
 Normals are produced by inverse-CDF transform of the block's uniforms,
 which keeps the draw count per trial fixed (rejection samplers do not).
@@ -110,10 +112,8 @@ import numpy as np
 
 from ._solvers import ndtri
 
-__all__ = ["stream_key", "trial_normals", "DRAWS_PER_TRIAL"]
+__all__ = ["stream_key", "trial_normals"]
 
-#: doubles available per trial (one Philox counter block)
-DRAWS_PER_TRIAL = 4
 # trials per block of rounds and per ndtri call; each of the limb buffers
 # is (2, this) uint64, 64 KiB, under glibc's 128 KiB mmap threshold
 _NDTRI_BLOCK_ROWS = 4096
@@ -139,11 +139,9 @@ _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _WEYL = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
 _ROUNDS = 10
 # the multipliers as (2, 1) uint64 columns, whole and as 32-bit limbs, for
-# both multiplied words at once; _MUL_C0 and _MUL_C2 are their single rows
+# both multiplied words at once
 _MUL = tuple(np.array([[m] for m in ms], dtype=np.uint64) for ms in (
     _PHILOX_M, [m & _MASK32 for m in _PHILOX_M], [m >> 32 for m in _PHILOX_M]))
-_MUL_C0 = tuple(column[:1] for column in _MUL)
-_MUL_C2 = tuple(column[1:] for column in _MUL)
 
 # a uniform is (w >> 11) * 2**-53 and the sampler reads it as u + 2**-54, in
 # (0, 1), so the inverse normal CDF never sees an endpoint.  That sum is
@@ -190,15 +188,25 @@ def _seed_pool(entropy):
     return pool
 
 
+def _index(name, value):
+    """``value`` as an int; floats, bools and other non-integers raise TypeError."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, not {type(value).__name__}")
+
+
 def stream_key(seed, *tags):
     """Derive an independent 128-bit Philox key from a seed and tags.
 
     The key is ``SeedSequence([seed, *tags]).generate_state(2, np.uint64)``,
-    each value taken modulo 2**64.
+    each value taken modulo 2**64.  The seed and tags must be integers
+    (numpy's integer types included); others raise ``TypeError``.
     """
-    entropy = []
-    for value in (seed, *tags):
-        entropy.extend(_uint32_words(int(value) & _MASK64))
+    values = [_index("seed", seed), *(_index("tag", tag) for tag in tags)]
+    entropy = [word for value in values for word in _uint32_words(value & _MASK64)]
     pool = _seed_pool(entropy)
     hash_const = _INIT_B
     state = []
@@ -234,11 +242,10 @@ def _mulhilo(a, mul, lo, hi, s, t):
     np.add(hi, a, out=hi)  # a_hi * m_hi + (u >> 32) + (v >> 32)
 
 
-def _philox_words(first, keys, width, buffers):
-    """The output words of the blocks of counters ``first + 1 + j``.
+def _philox_words(first, keys, buffers):
+    """The first two output words of the blocks of counters ``first + 1 + j``.
 
-    Returns the first two words of each block when ``width`` is at most 2,
-    else all four, as views of ``buffers``: six (2, n) uint64 arrays, one
+    Returns them as views of ``buffers``: six (2, n) uint64 arrays, one
     column for each of the n counters.  ``keys`` holds each round's key as
     a (2, 1) uint64 column, in a (10, 2, 1) array.  A round maps the
     counter ``(c0, c1, c2, c3)`` to ``(hi2 ^ c1 ^ k0, lo2, hi0 ^ c3 ^ k1,
@@ -248,62 +255,34 @@ def _philox_words(first, keys, width, buffers):
     round's ``b`` under a new name.
     """
     a, b, lo, hi, s, t = buffers
-    # round 1 on (c, 0, 0, 0): only c is multiplied, and it gives
-    # (k0, 0, hi0 ^ k1, lo0), with lo0 left in lo[0]
     np.add(np.arange(a.shape[1], dtype=np.uint64), np.uint64(first + 1), out=a[0])
-    _mulhilo(a[:1], _MUL_C0, lo[:1], hi[:1], s[:1], t[:1])
-    np.bitwise_xor(hi[0], keys[0, 1], out=a[1])
-    # round 2: c0 = k0 is the same for every trial, so M0 * c0 is one int
-    product = _PHILOX_M[0] * int(keys[0, 0, 0])
-    _mulhilo(a[1:], _MUL_C2, b[1:], hi[1:], s[1:], t[1:])  # b[1] = c1
-    np.bitwise_xor(hi[1], keys[1, 0], out=a[0])
-    np.bitwise_xor(lo[0], np.uint64(product >> 64) ^ keys[1, 1], out=a[1])
-    b[0].fill(product & _MASK64)  # c3
-    for key in keys[2:-1]:
+    a[1].fill(0)
+    b.fill(0)
+    for key in keys:
         _mulhilo(a, _MUL, lo, hi, s, t)
         np.bitwise_xor(hi, b, out=hi)
         np.bitwise_xor(hi[::-1], key, out=a)
         b, lo = lo, b
-    # round 10: the words are (hi2 ^ c1 ^ k0, lo2, hi0 ^ c3 ^ k1, lo0), and
-    # below three wide nothing reads M0 * c0
-    if width <= 2:
-        _mulhilo(a[1:], _MUL_C2, lo[1:], hi[1:], s[1:], t[1:])
-        np.bitwise_xor(hi[1], b[1], out=hi[1])
-        np.bitwise_xor(hi[1], keys[-1, 0], out=hi[1])
-        return hi[1], lo[1]
-    _mulhilo(a, _MUL, lo, hi, s, t)
-    np.bitwise_xor(hi, b, out=hi)
-    np.bitwise_xor(hi[::-1], keys[-1], out=a)
-    return a[0], lo[1], a[1], lo[0]
+    return a[0], b[1]
 
 
-def _index(name, value):
-    """``value`` as an int; floats, bools and other non-integers raise TypeError."""
-    if isinstance(value, bool):
-        raise TypeError(f"{name} must be an integer, not bool")
-    return operator.index(value)
+def trial_normals(key, start_trial, n_trials):
+    """Two standard normals for each trial in [start_trial, start_trial + n_trials).
 
-
-def trial_normals(key, start_trial, n_trials, width=2):
-    """Standard normals for trials [start_trial, start_trial + n_trials).
-
-    Returns an array of shape ``(n_trials, width)``; row ``i`` is the
+    Returns an array of shape ``(n_trials, 2)``; row ``i`` is the
     randomness of trial ``start_trial + i`` and is independent of how the
     overall range is split into calls.  The range must end by
     ``2**64 - 1``, the counters that one 64-bit word holds.
     """
     start_trial = _index("start_trial", start_trial)
     n_trials = _index("n_trials", n_trials)
-    width = _index("width", width)
-    if not 1 <= width <= DRAWS_PER_TRIAL:
-        raise ValueError(f"width must be in 1..{DRAWS_PER_TRIAL}")
     if n_trials < 0 or start_trial < 0:
         raise ValueError("trial range must be nonnegative")
     if start_trial + n_trials > _COUNTER_END:
         raise ValueError(
             "trial range must end by 2**64 - 1, the counters of one 64-bit word;"
             f" got start_trial + n_trials = {start_trial + n_trials}")
-    normals = np.empty((n_trials, width))
+    normals = np.empty((n_trials, 2))
     if n_trials == 0:
         return normals
     # round r's key is the key plus r Weyl increments, modulo 2**64 as uint64
@@ -318,14 +297,10 @@ def trial_normals(key, start_trial, n_trials, width=2):
     for start in range(0, n_trials, rows):
         n = min(rows, n_trials - start)
         block = [buffer[:, :n] for buffer in buffers]
-        words = _philox_words(start_trial + start, keys, width, block)[:width]
         draws = block[4]  # scratch of the rounds, free once the words are made
-        for j in range(0, width, 2):  # two words to each ndtri call
-            pair = words[j:j + 2]
-            k = len(pair)
-            for i, word in enumerate(pair):
-                np.right_shift(word, _DRAW_SHIFT, out=draws[i])
-            np.bitwise_or(draws[:k], 1, out=draws[:k])
-            np.multiply(draws[:k], _DRAW_SCALE, out=uniforms[:k, :n])
-            normals[start:start + n, j:j + k] = ndtri(uniforms[:k, :n]).T
+        for i, word in enumerate(_philox_words(start_trial + start, keys, block)):
+            np.right_shift(word, _DRAW_SHIFT, out=draws[i])
+        np.bitwise_or(draws, 1, out=draws)
+        np.multiply(draws, _DRAW_SCALE, out=uniforms[:, :n])
+        normals[start:start + n] = ndtri(uniforms[:, :n]).T
     return normals

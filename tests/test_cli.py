@@ -516,6 +516,18 @@ class TestLifetime:
         assert run(tmp_path, "lifetime", config) == 3
         assert "classical" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config, message", [
+        # undecayed fidelity 0.816 against a 0.544 limit, but the crossing
+        # is longer than tau = 1 s reaches (about 344 ms)
+        ({"crossing_ms": 400}, "crossing time 0.4 s is too long"),
+        ({"gain": -1}, "channel never beats the classical benchmark"),
+    ])
+    def test_uncalibratable_crossing_says_why(self, tmp_path, capsys, config, message):
+        assert run(tmp_path, "lifetime", {"t_max_ms": 1.0, **config}) == 3
+        err = capsys.readouterr().err
+        assert message in err and "'crossing_ms'" in err
+        assert not any((tmp_path / "out").iterdir())
+
     def test_overflowing_set_exits_three(self, tmp_path):
         # the classical benchmark overflows to NaN; that is not a bad crossing
         code, err = run_subprocess(tmp_path, "lifetime", {"n_max": 1e12})

@@ -124,8 +124,16 @@ class TestLifetimeCurve:
     def test_uncalibratable_channel_raises(self):
         weak = StorageParams(coupling=0.2, gain=0.2)
         _, f_class = optimize_classical_gain(0, 10)
-        with pytest.raises(RuntimeError, match="classical"):
+        with pytest.raises(RuntimeError, match="never beats the classical benchmark"):
             calibrate_tau(CoherentSet(0, 10), weak, 4e-3, f_class=f_class)
+
+    def test_crossing_beyond_tau_bracket_raises(self):
+        # the undecayed channel beats the classical optimum, but at
+        # tau = 1 s the fidelity has fallen below it by 0.4 s
+        _, f_class = optimize_classical_gain(0, 10)
+        with pytest.raises(RuntimeError, match="0.4 s is too long.*tau = 1.0 s"):
+            calibrate_tau(CoherentSet(0, 10), StorageParams(), 0.4, excess_noise_rate=0.5,
+                          f_class=f_class)
 
     def test_overflowing_set_raises_from_the_classical_optimum(self):
         # the optimum that calibrate_tau is given cannot be computed

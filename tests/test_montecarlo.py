@@ -57,7 +57,7 @@ def run_series_reference(input_mean, params, arm, n_trials, seed):
     affine sampler must reproduce the literal sequence of operations.
     """
     key = stream_key(seed, _ARM_TAGS[arm])
-    z = trial_normals(key, 0, n_trials, width=2)
+    z = trial_normals(key, 0, n_trials)
     light = coherent_state(*input_mean, mode="light")
     series = TrialSeries(arm, np.empty(n_trials), np.empty(n_trials))
     for i in range(n_trials):
@@ -97,6 +97,22 @@ class TestRunSeries:
         assert len(split) == n
         assert np.array_equal(split.feedback, whole.feedback)
         assert np.array_equal(split.verification, whole.verification)
+
+    @pytest.mark.parametrize("chunk", [4095, 4097, 5000])
+    def test_chunks_that_straddle_sampler_blocks_change_no_byte(self, chunk):
+        # trial_normals runs its rounds and ndtri on blocks of 4096 trials,
+        # and the default chunk (65 536 trials) holds the whole series
+        n = 3 * 4096 + 7
+        params = StorageParams()
+        whole = run_series((1.0, 2.0), params, ARM_P, n, seed=3)
+        split = run_series((1.0, 2.0), params, ARM_P, n, seed=3, chunk_size=chunk)
+        assert split.feedback.tobytes() == whole.feedback.tobytes()
+        assert split.verification.tobytes() == whole.verification.tobytes()
+
+    @pytest.mark.parametrize("chunk", [0, -1])
+    def test_chunk_size_below_one_is_refused(self, chunk):
+        with pytest.raises(ValueError, match="chunk_size"):
+            run_series((0, 0), StorageParams(), ARM_P, 10, seed=0, chunk_size=chunk)
 
     def test_seeds_and_arms_are_independent_streams(self):
         params = StorageParams()

@@ -8,16 +8,20 @@ from numpy.testing import assert_allclose
 from qmemsim import kernels
 from qmemsim._solvers import ndtri
 from qmemsim.rng import (
-    _COUNTER_END, _NDTRI_BLOCK_ROWS, DRAWS_PER_TRIAL, stream_key, trial_normals,
+    _COUNTER_END, _NDTRI_BLOCK_ROWS, stream_key, trial_normals,
 )
 
+# Generator.random draws of one Philox counter block, of which a trial
+# reads the first two
+DRAWS_PER_BLOCK = 4
 
-def numpy_normals(key, start, n_trials, width):
+
+def numpy_normals(key, start, n_trials):
     """The oracle of the port: numpy's Philox stream, read as trial_normals reads it."""
     bg = Philox(key=key)
     bg.advance(start)
-    u = Generator(bg).random(n_trials * DRAWS_PER_TRIAL).reshape(n_trials, -1)
-    return ndtri(u[:, :width] + 2.0**-54)
+    u = Generator(bg).random(n_trials * DRAWS_PER_BLOCK).reshape(n_trials, -1)
+    return ndtri(u[:, :2] + 2.0**-54)
 
 
 def stream_key_cases():
@@ -52,39 +56,39 @@ def loop_bin_sweep(kappa_cos, kappa_sin, vectors):
 class TestTrialNormals:
     def test_block_splitting_is_schedule_independent(self):
         key = stream_key(99, 1)
-        whole = trial_normals(key, 0, 1000, width=2)
+        whole = trial_normals(key, 0, 1000)
         pieces = [
-            trial_normals(key, start, count, width=2)
+            trial_normals(key, start, count)
             for start, count in ((0, 137), (137, 363), (500, 500))
         ]
         assert np.array_equal(np.vstack(pieces), whole)
 
     def test_out_of_order_chunks_reassemble(self):
         key = stream_key(5)
-        whole = trial_normals(key, 0, 300, width=3)
+        whole = trial_normals(key, 0, 300)
         chunks = {
-            start: trial_normals(key, start, 100, width=3)
+            start: trial_normals(key, start, 100)
             for start in (200, 0, 100)
         }
         reassembled = np.vstack([chunks[0], chunks[100], chunks[200]])
         assert np.array_equal(reassembled, whole)
 
     def test_distinct_tags_decorrelate(self):
-        a = trial_normals(stream_key(7, 0), 0, 4096, width=1).ravel()
-        b = trial_normals(stream_key(7, 1), 0, 4096, width=1).ravel()
+        a = trial_normals(stream_key(7, 0), 0, 4096).ravel()
+        b = trial_normals(stream_key(7, 1), 0, 4096).ravel()
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.05
 
     def test_normal_moments(self):
-        z = trial_normals(stream_key(123), 0, 200_000, width=4).ravel()
+        z = trial_normals(stream_key(123), 0, 400_000).ravel()
         assert abs(z.mean()) < 4.0 / np.sqrt(z.size)
         assert z.var(ddof=1) == pytest.approx(1.0, abs=0.01)
         assert np.all(np.isfinite(z))
 
-    def test_width_validation(self):
-        with pytest.raises(ValueError):
-            trial_normals(stream_key(1), 0, 10, width=5)
-        with pytest.raises(ValueError):
+    def test_negative_ranges_are_refused(self):
+        with pytest.raises(ValueError, match="nonnegative"):
             trial_normals(stream_key(1), -1, 10)
+        with pytest.raises(ValueError, match="nonnegative"):
+            trial_normals(stream_key(1), 0, -1)
 
     def test_empty_range(self):
         assert trial_normals(stream_key(1), 0, 0).shape == (0, 2)
@@ -92,15 +96,14 @@ class TestTrialNormals:
     @pytest.mark.parametrize("start", [0, 70_001])
     @pytest.mark.parametrize("n_trials", [1, _NDTRI_BLOCK_ROWS - 1, _NDTRI_BLOCK_ROWS,
                                           _NDTRI_BLOCK_ROWS + 1, 3 * _NDTRI_BLOCK_ROWS + 7])
-    @pytest.mark.parametrize("width", [1, 2, 4])
-    def test_blocks_give_the_bytes_of_one_ndtri_call(self, start, n_trials, width):
+    def test_blocks_give_the_bytes_of_one_ndtri_call(self, start, n_trials):
         key = stream_key(11, 1)
         bg = Philox(key=key)
         bg.advance(start)
-        u = Generator(bg).random(n_trials * DRAWS_PER_TRIAL).reshape(n_trials, -1)
-        whole = ndtri(u[:, :width] + 2.0**-54)
-        blocked = trial_normals(key, start, n_trials, width=width)
-        assert blocked.shape == whole.shape == (n_trials, width)
+        u = Generator(bg).random(n_trials * DRAWS_PER_BLOCK).reshape(n_trials, -1)
+        whole = ndtri(u[:, :2] + 2.0**-54)
+        blocked = trial_normals(key, start, n_trials)
+        assert blocked.shape == whole.shape == (n_trials, 2)
         assert blocked.tobytes() == whole.tobytes()
 
     def test_stream_key_is_numpys_seed_sequence(self):
@@ -118,30 +121,39 @@ class TestTrialNormals:
         (_COUNTER_END - 1, 1),  # the last counter of the first word
         (_COUNTER_END - (_NDTRI_BLOCK_ROWS + 5), _NDTRI_BLOCK_ROWS + 5),
     ])
-    @pytest.mark.parametrize("width", [2, 3, 4])
-    def test_unaligned_and_top_starts_match_numpy(self, start, n_trials, width):
+    def test_unaligned_and_top_starts_match_numpy(self, start, n_trials):
         key = stream_key(3, 1)
-        expected = numpy_normals(key, start, n_trials, width)
-        assert trial_normals(key, start, n_trials, width).tobytes() == expected.tobytes()
+        expected = numpy_normals(key, start, n_trials)
+        assert trial_normals(key, start, n_trials).tobytes() == expected.tobytes()
 
     def test_numpy_integers_are_taken(self):
-        key = stream_key(4)
-        expected = trial_normals(key, 5, 7, 2)
-        got = trial_normals(key, np.int64(5), np.uint32(7), width=np.int8(2))
+        key = stream_key(4, 1)
+        expected = trial_normals(key, 5, 7)
+        got = trial_normals(stream_key(np.int64(4), np.uint8(1)), np.int64(5), np.uint32(7))
         assert got.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("start, n_trials, width", [
-        (0.5, 10, 2),  # read as trial 0's normals before
-        (0, 10.0, 2),
-        (0, 10, 2.0),
-        (True, 10, 2),
-        (0, True, 2),
-        (0, 10, True),  # read as width 1 before
-        ("0", 10, 2),
+    @pytest.mark.parametrize("start, n_trials", [
+        (0.5, 10),  # read as trial 0's normals before
+        (0, 10.0),
+        (True, 10),
+        (0, True),
+        ("0", 10),
     ])
-    def test_non_integers_are_refused(self, start, n_trials, width):
+    def test_non_integers_are_refused(self, start, n_trials):
         with pytest.raises(TypeError):
-            trial_normals(stream_key(1), start, n_trials, width)
+            trial_normals(stream_key(1), start, n_trials)
+
+    @pytest.mark.parametrize("seed, tags", [
+        (1.5, ()),  # read as seed 1 before
+        (np.float64(2.0), ()),
+        ("7", ()),
+        (True, ()),
+        (1, (0.5,)),
+        (1, (0, False)),
+    ])
+    def test_stream_key_refuses_non_integers(self, seed, tags):
+        with pytest.raises(TypeError, match="must be an integer"):
+            stream_key(seed, *tags)
 
     @pytest.mark.parametrize("start, n_trials", [
         (2**256, 1),  # numpy's advance wraps the 256-bit counter to trial 0
