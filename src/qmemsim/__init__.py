@@ -7,13 +7,15 @@ Modules by task:
 * :mod:`qmemsim.protocol` - the store / verify / retrieve protocol maps;
 * :mod:`qmemsim.microscopic` - time-binned two-cell dynamics and its
   reduction to the single-mode interaction;
-* :mod:`qmemsim.fidelity` - set-averaged fidelities
-  (:func:`~qmemsim.fidelity.average_fidelity`, whose one setting is its
-  tolerance ``tol``) and classical benchmarks;
+* :mod:`qmemsim.fidelity` - set-averaged fidelities of one channel or
+  a batch (:func:`~qmemsim.fidelity.average_fidelity`, whose one setting
+  is its tolerance ``tol``) and classical benchmarks, each over a
+  :class:`~qmemsim.fidelity.CoherentSet`;
 * :mod:`qmemsim.montecarlo` - reproducible trial series, histograms,
   moment reconstruction;
 * :mod:`qmemsim.calibration` - projection-noise calibration fits;
-* :mod:`qmemsim.decoherence` - storage-time decay and lifetime curves;
+* :mod:`qmemsim.decoherence` - storage-time decay of a stored
+  :class:`~qmemsim.protocol.ChannelSummary` and lifetime curves;
 * :mod:`qmemsim.cli` - batch front end (``qmemsim --help``).
 
 The package needs numpy alone: importing it and all five subcommands

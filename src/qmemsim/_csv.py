@@ -90,10 +90,11 @@ _KEEP = np.ones((1, 1), bool)
 def write_table(path, table):
     """Write ``(header, block, ...)`` as CSV, one block at a time.
 
-    A block is a tuple of columns: numpy arrays, ranges or other
-    iterables such as a list of labels or ``itertools.repeat``; like
-    ``zip``, it ends with its shortest column.  Float arrays are written as
-    ``{:.17g}`` and every other value with ``str``; iterators are
+    A block is a tuple of columns, each one of: a float64 or int64
+    array, a ``range`` within int64, or a sequence or iterator of
+    ``str`` such as a list of labels or ``itertools.repeat``; like
+    ``zip``, it ends with its shortest column.  Floats are written as
+    ``{:.17g}`` and integers and strings with ``str``; iterators are
     consumed, so a table is written once.  Raises ``FloatingPointError``
     on a NaN or infinity, before opening ``path``.
     """
@@ -115,20 +116,13 @@ def _is_float(column):
 
 
 def _pieces(column):
-    """``column`` in chunks of up to ``CHUNK_ROWS`` values: float64 or int64
-    arrays for numeric columns, lists of values for the rest."""
-    if isinstance(column, range) and _fits_int64(column):
+    """``column`` in chunks of up to ``CHUNK_ROWS`` values: int64 arrays for
+    a range, slices of an array, lists of strings for the rest."""
+    if isinstance(column, range):
         for start in range(0, len(column), CHUNK_ROWS):
             r = column[start:start + CHUNK_ROWS]
             yield np.arange(r.start, r.stop, r.step, dtype=np.int64)
         return
-    if isinstance(column, np.ndarray):
-        if column.dtype.kind == "f":
-            column = column.astype(np.float64, copy=False)
-        elif column.dtype.kind in "iu" and np.can_cast(column.dtype, np.int64):
-            column = column.astype(np.int64, copy=False)
-        else:
-            column = column.tolist()  # bool, uint64, ...: str of the Python value
     if isinstance(column, np.ndarray):
         for start in range(0, len(column), CHUNK_ROWS):
             yield column[start:start + CHUNK_ROWS]
@@ -136,10 +130,6 @@ def _pieces(column):
     values = iter(column)
     while piece := list(itertools.islice(values, CHUNK_ROWS)):
         yield piece
-
-
-def _fits_int64(r):
-    return not r or -(2**63) <= min(r[0], r[-1]) and max(r[0], r[-1]) < 2**63
 
 
 def _row_bytes(pieces, encoding):

@@ -340,10 +340,10 @@ def compute_fidelity(cfg):
         channel_fids = {
             label: average_fidelity(cset, channel, tol) for label, channel in channels.items()
         }
-        g_opt, f_max = optimize_classical_gain(n_min, n_max)
+        g_opt, f_max = optimize_classical_gain(cset)
     classical = {
         "classical_optimum": f_max,
-        "classical_unit_gain": classical_fidelity(1.0, n_min, n_max),
+        "classical_unit_gain": classical_fidelity(1.0, cset),
     }
 
     g_report = round(g_opt, 3)
@@ -447,12 +447,12 @@ def compute_microscopic(cfg):
         k_theory = microscopic.theoretical_coupling(params)
         rel_dev = abs(couplings.coupling - k_theory) / k_theory
 
-    sweep_rows = []
+    sweep = {}
     slope = None
     if cfg["sweep"]:
         with _bad_value("target_coupling", "sweep_bins", "pulse_duration",
                         "collective_spin", what=out_of_range):
-            sweep_rows = microscopic.omega_t_sweep(
+            sweep = microscopic.omega_t_sweep(
                 microscopic.pinned_phase_omega_t(),
                 bins=cfg["sweep_bins"],
                 target_coupling=cfg["target_coupling"],
@@ -460,11 +460,7 @@ def compute_microscopic(cfg):
                 collective_spin=cfg["collective_spin"],
             )
         slope = float(
-            np.polyfit(
-                np.log([r["omega_t"] for r in sweep_rows]),
-                np.log([r["sine_leakage"] for r in sweep_rows]),
-                1,
-            )[0]
+            np.polyfit(np.log(sweep["omega_t"]), np.log(sweep["sine_leakage"]), 1)[0]
         )
 
     report = {
@@ -478,12 +474,8 @@ def compute_microscopic(cfg):
         "leakage_loglog_slope": slope,
     }
     outputs = {"microscopic.json": report}
-    if sweep_rows:
-        header = list(sweep_rows[0])
-        outputs["microscopic_sweep.csv"] = (
-            header,
-            tuple(np.array([r[key] for r in sweep_rows]) for key in header),
-        )
+    if sweep:
+        outputs["microscopic_sweep.csv"] = (list(sweep), tuple(sweep.values()))
     return outputs
 
 
@@ -521,19 +513,20 @@ def compute_lifetime(cfg):
     # the classical optimum, computed once; a failure here names the set alone
     with _bad_value("n_min", "n_max"):
         cset = CoherentSet(cfg["n_min"], cfg["n_max"])
-        _, f_class = optimize_classical_gain(cset.n_min, cset.n_max)
+        _, f_class = optimize_classical_gain(cset)
     # the stored channel reads no readout_coupling
     with _bad_value("n_min", "n_max", "coupling", "gain", "atom_var_x", "atom_var_p",
                     "excess_noise_rate", "crossing_ms",
                     what="the decayed channel overflows"):
+        channel = store_channel(params)
         decay = decoherence.calibrate_tau(
             cset,
-            params,
+            channel,
             cfg["crossing_ms"] * 1e-3,
             excess_noise_rate=cfg["excess_noise_rate"],
             f_class=f_class,
         )
-        fids = decoherence.fidelity_vs_time(cset, params, decay, times)
+        fids = decoherence.fidelity_vs_time(cset, channel, decay, times)
     crossing = decoherence.crossing_time(times, fids, f_class)
     return {
         "lifetime.csv": (

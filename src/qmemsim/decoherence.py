@@ -6,6 +6,10 @@ value plus an optional excess, ``var -> beta^2 var + (1 - beta^2) (1/2 +
 excess)``.  This is the simplest Gaussian semigroup with a monotone
 fidelity curve; its single calibration anchor is the time at which the
 set-averaged fidelity crosses the classical benchmark.
+
+The decay and the lifetime curve take the stored channel as a
+:class:`~qmemsim.protocol.ChannelSummary`, and :func:`decay_channel`
+decays it to one time or to an array of times at once.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 # sees every call, whichever of the two modules was imported first
 from . import fidelity
 from ._solvers import brentq
-from .protocol import ChannelSummary, store_channel
+from .protocol import ChannelSummary
 
 __all__ = [
     "DecayParams",
@@ -52,16 +56,19 @@ def _mixed(var, beta2, params):
     return beta2 * var + (1.0 - beta2) * (0.5 + params.excess_noise_rate)
 
 
-def _decayed(channel, t, params):
-    """Gains and variances ``(gain_x, gain_p, var_x, var_p)`` at time ``t``.
+def decay_channel(channel, t, params):
+    """The channel after a storage time ``t``: gains scale uniformly by beta.
 
-    ``t`` is a scalar or an array of times.  ``np.float_power`` squares
-    beta with C pow on every element, as ``**`` does on a scalar, so an
-    array of times gives the bytes of one call per time.
+    ``t`` is a time or an array of times, which gives a batch of that
+    shape.  ``np.float_power`` squares beta with C pow on every element,
+    as ``**`` does on a scalar, so an array of times gives the bytes of
+    one call per time.
     """
+    if np.any(t < 0):
+        raise ValueError("storage time must be nonnegative")
     beta = np.exp(-t / params.tau)
     beta2 = np.float_power(beta, 2)
-    return (
+    return ChannelSummary(
         beta * channel.gain_x,
         beta * channel.gain_p,
         _mixed(channel.var_x, beta2, params),
@@ -69,19 +76,12 @@ def _decayed(channel, t, params):
     )
 
 
-def decay_channel(channel, t, params):
-    """Channel summary after storage delay: gains scale uniformly by beta."""
-    if t < 0:
-        raise ValueError("storage time must be nonnegative")
-    return ChannelSummary(*_decayed(channel, t, params))
+def fidelity_vs_time(cset, channel, decay, times):
+    """Set-averaged fidelity of the stored ``channel`` at each storage time.
 
-
-def fidelity_vs_time(cset, storage_params, decay, times):
-    """Set-averaged fidelity at each storage time (same order as input).
-
-    The decayed gains and variances of every time are computed as arrays
-    and refined by one batched quadrature (:func:`average_fidelities`);
-    each value equals ``average_fidelity(cset, decay_channel(base, t,
+    The values come in the order of ``times``.  The channel decayed to
+    every time is one batch, refined by one batched quadrature, so each
+    value equals ``average_fidelity(cset, decay_channel(channel, t,
     decay))`` for its own time ``t``, byte for byte.
 
     The curve is monotone non-increasing whenever the relaxation fixed
@@ -93,34 +93,29 @@ def fidelity_vs_time(cset, storage_params, decay, times):
     times = np.asarray(times, dtype=float)
     if times.size and (np.any(np.diff(times) < 0) or times[0] < 0):
         raise ValueError("times must be sorted and nonnegative")
-    decayed = _decayed(store_channel(storage_params), times, decay)
-    finite = np.isfinite(decayed).all(axis=0)
-    if not finite.all():  # the summary's own check names the quantity
-        ChannelSummary(*(column[np.argmin(finite)] for column in decayed))
-    return fidelity.average_fidelities(cset, *decayed)
+    return fidelity.average_fidelity(cset, decay_channel(channel, times, decay))
 
 
-def calibrate_tau(cset, storage_params, crossing, excess_noise_rate=0.0, *, f_class):
+def calibrate_tau(cset, channel, crossing, excess_noise_rate=0.0, *, f_class):
     """Coherence time for which the fidelity meets the classical optimum.
 
-    Root-finds ``tau`` such that the decayed channel's fidelity at
-    ``crossing`` seconds equals ``f_class``, the best classical fidelity
-    for the set as :func:`~qmemsim.fidelity.optimize_classical_gain`
+    Root-finds ``tau`` such that the fidelity of the stored ``channel``,
+    decayed for ``crossing`` seconds, equals ``f_class``, the best classical
+    fidelity for the set as :func:`~qmemsim.fidelity.optimize_classical_gain`
     returns it.  Raises ``RuntimeError`` if the channel never beats it
     (not even undecayed) or still falls below it at the longest ``tau`` of
     the bracket (the crossing is too long to calibrate), and
     ``ValueError`` if it still beats it at the shortest ``tau`` (the
     crossing is too short).
     """
-    base = store_channel(storage_params)
 
     def gap(tau):
-        decayed = decay_channel(base, crossing, DecayParams(tau, excess_noise_rate))
+        decayed = decay_channel(channel, crossing, DecayParams(tau, excess_noise_rate))
         return fidelity.average_fidelity(cset, decayed) - f_class
 
     lo, hi = TAU_BRACKET
     if gap(hi) <= 0:
-        if fidelity.average_fidelity(cset, base) <= f_class:
+        if fidelity.average_fidelity(cset, channel) <= f_class:
             raise RuntimeError(
                 "channel never beats the classical benchmark; cannot calibrate"
             )

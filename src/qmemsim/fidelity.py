@@ -6,6 +6,11 @@ coherent states whose mean photon number ``n = (x^2 + p^2)/2 = alpha^2/2``
 is uniform in amplitude-squared over ``[n_min, n_max]`` with arbitrary
 phase.  The classical (measure-and-prepare) benchmark for the same set is
 available in closed form and caps at 1/2 for unrestricted inputs.
+
+The functions that average over the set take it as a
+:class:`CoherentSet`, whose own check is the only range check, and
+:func:`average_fidelity` takes the channel as a
+:class:`~qmemsim.protocol.ChannelSummary` of one channel or of a batch.
 """
 
 from __future__ import annotations
@@ -25,20 +30,19 @@ __all__ = [
     "CoherentSet",
     "overlap",
     "average_fidelity",
-    "average_fidelities",
     "classical_fidelity",
     "optimize_classical_gain",
     "classical_variance_bound",
 ]
 
-#: radial nodes of the first estimate of :func:`average_fidelities`
+#: radial nodes of the first estimate of :func:`average_fidelity`
 START_NODES = 32
 #: radial nodes at which doubling stops; ``leggauss(n)`` solves an n x n
 #: eigenproblem, so this bounds the time and memory of a quadrature that
 #: does not converge (4096 nodes: about 5 s and 300 MiB)
 MAX_NODES = 4096
-#: channels refined together by :func:`average_fidelities`; bounds its
-#: (channels, nodes) arrays to BLOCK_POINTS * MAX_NODES floats (8 MiB)
+#: channels of a batch refined together by :func:`average_fidelity`; bounds
+#: its (channels, nodes) arrays to BLOCK_POINTS * MAX_NODES floats (8 MiB)
 BLOCK_POINTS = 256
 
 
@@ -148,27 +152,29 @@ def _refine(cset, u, v, prefactor, tol):
     )
 
 
-def average_fidelities(cset, gain_x, gain_p, var_x, var_p, tol=1e-10):
-    """Set-averaged fidelity of each channel of a batch, as an array.
+def average_fidelity(cset, channel, tol=1e-10):
+    """Set-averaged fidelity of a channel, or of each channel of a batch.
 
-    The channels' gains and variances are equal-length 1-D arrays (or
-    scalars, for one channel).  The overlap is integrated over the
-    coherent set with the angular integral reduced exactly and the
-    radial integral refined by doubling its nodes from
-    :data:`START_NODES` until two successive estimates agree within
-    ``tol``, for each channel on its own; raises ``RuntimeError`` when a
-    channel would need more than :data:`MAX_NODES`, and
-    ``FloatingPointError`` when a gain is so far from 1 that the overlap
-    exponent overflows.  Each doubling
-    evaluates every unconverged channel of a block of
-    :data:`BLOCK_POINTS` in one array, and a channel's value does not
-    depend on the others in the batch.
+    ``channel`` is a :class:`~qmemsim.protocol.ChannelSummary` of one
+    channel, which gives a float, or of a batch, which gives an array of
+    the batch's shape.  The overlap is integrated over the coherent set
+    with the angular integral reduced exactly and the radial integral
+    refined by doubling its nodes from :data:`START_NODES` until two
+    successive estimates agree within ``tol``, for each channel on its
+    own; raises ``RuntimeError`` when a channel would need more than
+    :data:`MAX_NODES`, and ``FloatingPointError`` when a gain is so far
+    from 1 that the overlap exponent overflows.  Each doubling evaluates
+    every unconverged channel of a block of :data:`BLOCK_POINTS` in one
+    array, and a channel's value does not depend on the others in the
+    batch.
     """
     if not tol > 0:  # also rejects NaN, which never converges
         raise ValueError("tolerance must be positive")
-    u, v, prefactor = map(
-        np.atleast_1d, _channel_exponents(gain_x, gain_p, var_x, var_p)
+    u, v, prefactor = _channel_exponents(
+        channel.gain_x, channel.gain_p, channel.var_x, channel.var_p
     )
+    shape = np.shape(u)
+    u, v, prefactor = np.ravel(u), np.ravel(v), np.ravel(prefactor)
     if not (np.isfinite(u).all() and np.isfinite(v).all()):
         raise FloatingPointError(
             "overlap exponent (1 - gain)^2 / (1 + 2 var) overflows: "
@@ -178,23 +184,10 @@ def average_fidelities(cset, gain_x, gain_p, var_x, var_p, tol=1e-10):
     for start in range(0, u.size, BLOCK_POINTS):
         block = slice(start, start + BLOCK_POINTS)
         out[block] = _refine(cset, u[block], v[block], prefactor[block], tol)
-    return out
+    return out.reshape(shape)[()]
 
 
-def average_fidelity(cset, channel, tol=1e-10):
-    """Set-averaged fidelity of a Gaussian channel summary.
-
-    The one-channel case of :func:`average_fidelities`: the radial
-    nodes double from :data:`START_NODES` until two successive estimates
-    agree within ``tol``, and ``RuntimeError`` is raised before the count
-    would pass :data:`MAX_NODES`.
-    """
-    return average_fidelities(
-        cset, channel.gain_x, channel.gain_p, channel.var_x, channel.var_p, tol
-    )[0]
-
-
-def classical_fidelity(gain, n_min, n_max):
+def classical_fidelity(gain, cset):
     """Best-case measure-and-prepare fidelity at a given gain.
 
     Closed form of the set average of the measure-and-prepare overlap
@@ -202,10 +195,10 @@ def classical_fidelity(gain, n_min, n_max):
     terms of the mean photon number the exponential rate is
     ``c = (1 - g)^2 / (1 + g^2)`` per photon.  Evaluated in a form that
     is exact and stable through g = 1, where the value is the
-    n-independent limit ``1 / (1 + g^2) = 1/2``.
+    n-independent limit ``1 / (1 + g^2) = 1/2``.  The photon numbers
+    are those of the :class:`CoherentSet` ``cset``.
     """
-    if not (n_max > n_min >= 0):
-        raise ValueError("need n_max > n_min >= 0")
+    n_min, n_max = cset.n_min, cset.n_max
     g = float(gain)
     c = (1.0 - g) ** 2 / (1.0 + g**2)
     half_width = 0.5 * c * (n_max - n_min)
@@ -219,8 +212,8 @@ def classical_fidelity(gain, n_min, n_max):
         return np.exp(-0.5 * c * (n_min + n_max)) * ratio / (1.0 + g**2)
 
 
-def optimize_classical_gain(n_min, n_max):
-    """Maximize the classical fidelity over gains in (0, 1].
+def optimize_classical_gain(cset):
+    """Maximize the classical fidelity for ``cset`` over gains in (0, 1].
 
     Raises ``FloatingPointError`` naming the set when the optimum is not
     finite: the closed form overflows from ``n_max`` about 4263 at
@@ -228,11 +221,12 @@ def optimize_classical_gain(n_min, n_max):
     """
     with np.errstate(all="ignore"):
         gain, value = minimize_bounded(
-            lambda g: -classical_fidelity(g, n_min, n_max), 1e-9, 1.0, 1e-9
+            lambda g: -classical_fidelity(g, cset), 1e-9, 1.0, 1e-9
         )
     if not np.isfinite(value):
         raise FloatingPointError(
-            f"the classical optimum over photon numbers [{n_min}, {n_max}] is not finite"
+            f"the classical optimum over photon numbers [{cset.n_min}, {cset.n_max}] "
+            "is not finite"
         )
     return float(gain), float(-value)
 

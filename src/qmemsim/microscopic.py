@@ -44,6 +44,11 @@ __all__ = [
 #: fewest time bins of a propagation
 MIN_TIME_BINS = 10
 
+#: the columns of :func:`omega_t_sweep`, in ``microscopic_sweep.csv`` order
+SWEEP_COLUMNS = (
+    "omega_t", "coupling_effective", "coupling_theory", "sine_leakage", "max_spurious"
+)
+
 # indices into the 8 x 8 demodulated coupling matrix
 COS_X, COS_P, SIN_X, SIN_P, ATOM_X, ATOM_P, ATOM_X2, ATOM_P2 = range(8)
 
@@ -279,28 +284,27 @@ def omega_t_sweep(
 ):
     """Demodulated couplings across a range of frequency-time products.
 
-    Returns one dict per value with the effective and theoretical
-    couplings and the worst residual coupling; the pulse duration is held
-    fixed while the precession frequency is varied.
+    Returns the columns of ``microscopic_sweep.csv`` as float64 arrays,
+    one entry per value: the product itself, the effective and
+    theoretical couplings, the sine-mode write leakage and the worst
+    residual coupling.  The pulse duration is held fixed while the
+    precession frequency is varied.
     """
-    rows = []
-    for omega_t in omega_t_values:
+    omega_t = np.array(omega_t_values, dtype=float)
+    columns = np.empty((4, omega_t.size))
+    for i, value in enumerate(omega_t.tolist()):
         params = tuned_params(
             target_coupling,
             bins=bins,
             pulse_duration=pulse_duration,
-            larmor_frequency=float(omega_t) / pulse_duration,
+            larmor_frequency=value / pulse_duration,
             **overrides,
         )
         couplings = demodulate(propagate_binned(params))
-        k_theory = theoretical_coupling(params)
-        rows.append(
-            {
-                "omega_t": float(omega_t),
-                "coupling_effective": float(couplings.coupling),
-                "coupling_theory": float(k_theory),
-                "sine_leakage": float(couplings.sine_write_leakage),
-                "max_spurious": float(couplings.max_spurious),
-            }
+        columns[:, i] = (
+            couplings.coupling,
+            theoretical_coupling(params),
+            couplings.sine_write_leakage,
+            couplings.max_spurious,
         )
-    return rows
+    return dict(zip(SWEEP_COLUMNS, (omega_t, *columns)))

@@ -112,6 +112,10 @@ class ChannelSummary:
     Gains are defined with signs absorbed so ideal storage reports
     ``gain_x = gain_p = 1``: ``gain_x = <X_mem>/<P_light>`` and
     ``gain_p = -<P_mem>/<X_light>``.
+
+    One channel holds four numbers; a batch holds four arrays of one
+    shape, entry ``i`` of each being channel ``i``.  A failed check
+    reports the first bad entry, and in it the first bad field.
     """
 
     gain_x: float
@@ -120,10 +124,13 @@ class ChannelSummary:
     var_p: float
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            if not np.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.var_x <= 0 or self.var_p <= 0:
+        values = np.stack(list(vars(self).values()), axis=-1).reshape(-1, 4)
+        finite = np.isfinite(values)
+        if not finite.all():
+            entry, field = divmod(int(np.argmin(finite)), 4)
+            raise ValueError(f"{list(vars(self))[field]} must be finite, "
+                             f"got {values[entry, field]}")
+        if np.any(self.var_x <= 0) or np.any(self.var_p <= 0):
             raise ValueError("channel variances must be positive")
 
 

@@ -83,7 +83,7 @@ def test_criterion_01_ideal_css_fidelity():
 
 def test_criterion_02_classical_benchmark_zero_to_eight():
     with Stopwatch(5.0) as clock:
-        g_opt, f_max = optimize_classical_gain(0, 8)
+        g_opt, f_max = optimize_classical_gain(CoherentSet(0, 8))
         assert g_opt == pytest.approx(0.809, abs=0.005)
         assert f_max == pytest.approx(0.554, abs=0.002)
         # arbitration: the closed form integrates the printed overlap
@@ -98,24 +98,24 @@ def test_criterion_02_classical_benchmark_zero_to_eight():
                 ) / (1 + gain**2)
                 quadrature = 2 * np.pi * np.dot(w, o_vals) / 2.0
                 quadrature /= np.pi * (a2sq - a1sq)
-                assert classical_fidelity(gain, n_min, n_max) == pytest.approx(
+                assert classical_fidelity(gain, CoherentSet(n_min, n_max)) == pytest.approx(
                     quadrature, abs=1e-6
                 )
     report(2, f"g_opt={g_opt:.4f}, F_max={f_max:.4f} in {clock.elapsed:.2f}s")
 
 
 def test_criterion_03_classical_benchmark_zero_to_four():
-    _, f_max = optimize_classical_gain(0, 4)
+    _, f_max = optimize_classical_gain(CoherentSet(0, 4))
     assert f_max == pytest.approx(0.596, abs=0.002)
     report(3, f"F_max(0..4) = {f_max:.4f}")
 
 
 def test_criterion_04_unit_gain_limit():
     for n_max in (2.0, 8.0, 50.0):
-        assert classical_fidelity(1.0, 0, n_max) == pytest.approx(
+        assert classical_fidelity(1.0, CoherentSet(0, n_max)) == pytest.approx(
             0.5, abs=1e-6
         )
-    near = classical_fidelity(1.0 - 1e-10, 0, 8)
+    near = classical_fidelity(1.0 - 1e-10, CoherentSet(0, 8))
     assert near == pytest.approx(0.5, abs=1e-6)
     report(4, "classical fidelity -> 0.500 at unit gain")
 
@@ -173,12 +173,8 @@ def test_criterion_07_microscopic_reduction():
         assert k_theory == pytest.approx(1.0, rel=1e-12)
         assert abs(couplings.coupling - 1.0) < 0.01
         assert couplings.max_spurious < 0.01
-        rows = omega_t_sweep(pinned_phase_omega_t(), bins=4096)
-        slope = np.polyfit(
-            np.log([r["omega_t"] for r in rows]),
-            np.log([r["sine_leakage"] for r in rows]),
-            1,
-        )[0]
+        sweep = omega_t_sweep(pinned_phase_omega_t(), bins=4096)
+        slope = np.polyfit(np.log(sweep["omega_t"]), np.log(sweep["sine_leakage"]), 1)[0]
         assert slope == pytest.approx(-1.0, abs=0.15)
     report(
         7,
@@ -237,12 +233,12 @@ def test_criterion_10_experimental_consistency_band():
 
 def test_criterion_11_lifetime_crossing():
     cset = CoherentSet(0, 10)
-    params = StorageParams()
-    _, f_class = optimize_classical_gain(cset.n_min, cset.n_max)
-    decay = calibrate_tau(cset, params, 4e-3, excess_noise_rate=0.5, f_class=f_class)
+    channel = store_channel(StorageParams())
+    _, f_class = optimize_classical_gain(cset)
+    decay = calibrate_tau(cset, channel, 4e-3, excess_noise_rate=0.5, f_class=f_class)
     step = 1e-4
     times = np.arange(0.0, 6e-3 + step / 2, step)
-    fids = fidelity_vs_time(cset, params, decay, times)
+    fids = fidelity_vs_time(cset, channel, decay, times)
     crossing = crossing_time(times, fids, f_class)
     assert crossing == pytest.approx(4e-3, abs=step)
     assert np.all(np.diff(fids) <= 1e-12)

@@ -509,7 +509,8 @@ class TestLifetime:
 
         monkeypatch.setattr(fidelity, "optimize_classical_gain", counted)
         assert run(tmp_path, "lifetime", {"t_max_ms": 1.0}) == 0
-        assert calls == [(0.0, 10.0)]
+        [(cset,)] = calls
+        assert (cset.n_min, cset.n_max) == (0.0, 10.0)
 
     def test_hopeless_channel_exits_three(self, tmp_path, capsys):
         config = {"coupling": 0.2, "gain": 0.2}

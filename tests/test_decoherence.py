@@ -96,7 +96,7 @@ class TestLifetimeCurve:
     def test_zero_time_reproduces_undecayed_fidelity(self):
         cset = CoherentSet(0, 10)
         fids = fidelity_vs_time(
-            cset, StorageParams(), DecayParams(1e-3, 0.5), [0.0]
+            cset, store_channel(StorageParams()), DecayParams(1e-3, 0.5), [0.0]
         )
         assert fids[0] == pytest.approx(2 / np.sqrt(6), abs=1e-10)
 
@@ -104,17 +104,17 @@ class TestLifetimeCurve:
         cset = CoherentSet(0, 10)
         times = np.linspace(0, 8e-3, 81)
         fids = fidelity_vs_time(
-            cset, StorageParams(), DecayParams(3e-3, 0.5), times
+            cset, store_channel(StorageParams()), DecayParams(3e-3, 0.5), times
         )
         assert np.all(np.diff(fids) <= 1e-12)
 
     def test_calibrated_curve_crosses_at_requested_time(self):
         cset = CoherentSet(0, 10)
-        params = StorageParams()
-        _, f_class = optimize_classical_gain(0, 10)
-        decay = calibrate_tau(cset, params, 4e-3, excess_noise_rate=0.5, f_class=f_class)
+        channel = store_channel(StorageParams())
+        _, f_class = optimize_classical_gain(cset)
+        decay = calibrate_tau(cset, channel, 4e-3, excess_noise_rate=0.5, f_class=f_class)
         times = np.arange(0.0, 6.0001e-3, 1e-4)
-        fids = fidelity_vs_time(cset, params, decay, times)
+        fids = fidelity_vs_time(cset, channel, decay, times)
         crossing = crossing_time(times, fids, f_class)
         assert crossing == pytest.approx(4e-3, abs=1e-4)
         # above the classical optimum before, below after
@@ -122,36 +122,38 @@ class TestLifetimeCurve:
         assert np.all(fids[times > crossing + 1e-4] < f_class)
 
     def test_uncalibratable_channel_raises(self):
-        weak = StorageParams(coupling=0.2, gain=0.2)
-        _, f_class = optimize_classical_gain(0, 10)
+        weak = store_channel(StorageParams(coupling=0.2, gain=0.2))
+        _, f_class = optimize_classical_gain(CoherentSet(0, 10))
         with pytest.raises(RuntimeError, match="never beats the classical benchmark"):
             calibrate_tau(CoherentSet(0, 10), weak, 4e-3, f_class=f_class)
 
     def test_crossing_beyond_tau_bracket_raises(self):
         # the undecayed channel beats the classical optimum, but at
         # tau = 1 s the fidelity has fallen below it by 0.4 s
-        _, f_class = optimize_classical_gain(0, 10)
+        _, f_class = optimize_classical_gain(CoherentSet(0, 10))
         with pytest.raises(RuntimeError, match="0.4 s is too long.*tau = 1.0 s"):
-            calibrate_tau(CoherentSet(0, 10), StorageParams(), 0.4, excess_noise_rate=0.5,
-                          f_class=f_class)
+            calibrate_tau(CoherentSet(0, 10), store_channel(StorageParams()), 0.4,
+                          excess_noise_rate=0.5, f_class=f_class)
 
     def test_overflowing_set_raises_from_the_classical_optimum(self):
         # the optimum that calibrate_tau is given cannot be computed
         with pytest.raises(FloatingPointError, match=r"photon numbers \[0, 4300\]"):
-            _, f_class = optimize_classical_gain(0, 4300)
-            calibrate_tau(CoherentSet(0, 4300), StorageParams(), 4e-3, f_class=f_class)
+            _, f_class = optimize_classical_gain(CoherentSet(0, 4300))
+            calibrate_tau(CoherentSet(0, 4300), store_channel(StorageParams()), 4e-3,
+                          f_class=f_class)
 
     def test_crossing_below_tau_bracket_raises(self):
         # at tau = 1e-5 s a 1 ns crossing leaves the fidelity above the
         # classical optimum, so the bracket holds no sign change
-        _, f_class = optimize_classical_gain(0, 10)
+        _, f_class = optimize_classical_gain(CoherentSet(0, 10))
         with pytest.raises(ValueError, match="too short"):
-            calibrate_tau(CoherentSet(0, 10), StorageParams(), 1e-9, f_class=f_class)
+            calibrate_tau(CoherentSet(0, 10), store_channel(StorageParams()), 1e-9,
+                          f_class=f_class)
 
     def test_unsorted_times_rejected(self):
         with pytest.raises(ValueError):
             fidelity_vs_time(
-                CoherentSet(0, 10), StorageParams(), DECAY, [1e-3, 0.5e-3]
+                CoherentSet(0, 10), store_channel(StorageParams()), DECAY, [1e-3, 0.5e-3]
             )
 
     def test_crossing_time_edge_cases(self):
@@ -160,29 +162,29 @@ class TestLifetimeCurve:
         assert crossing_time(times, [3.0, 2.0, 1.0], 1.5) == pytest.approx(1.5)
 
 
-def per_point(cset, params, decay, times):
+def per_point(cset, channel, decay, times):
     """The lifetime curve one time point at a time."""
-    base = store_channel(params)
     return np.array(
-        [average_fidelity(cset, decay_channel(base, t, decay)) for t in times]
+        [average_fidelity(cset, decay_channel(channel, t, decay)) for t in times]
     )
 
 
 def lifetime_inputs(crossing_ms=4.0, excess=0.5, t_max_ms=6.0, t_step_ms=0.1):
     """Arguments of ``fidelity_vs_time`` as ``qmemsim lifetime`` builds them."""
-    cset, params = CoherentSet(0, 10), StorageParams()
-    _, f_class = optimize_classical_gain(cset.n_min, cset.n_max)
+    cset, channel = CoherentSet(0, 10), store_channel(StorageParams())
+    _, f_class = optimize_classical_gain(cset)
     decay = calibrate_tau(
-        cset, params, crossing_ms * 1e-3, excess_noise_rate=excess, f_class=f_class
+        cset, channel, crossing_ms * 1e-3, excess_noise_rate=excess, f_class=f_class
     )
     times = np.arange(0.0, t_max_ms * 1e-3 + 1e-12, t_step_ms * 1e-3)
-    return cset, params, decay, times
+    return cset, channel, decay, times
 
 
 #: random curves of the byte-equality sweep, 301 points each
 SWEEP_CURVES = 20
 #: points of this curve converge at 64, 128, 256 and 512 radial nodes
-MIXED = (CoherentSet(0, 1e4), StorageParams(coupling=1.0), DecayParams(4e-3, 0.5))
+MIXED = (CoherentSet(0, 1e4), store_channel(StorageParams(coupling=1.0)),
+         DecayParams(4e-3, 0.5))
 
 
 class TestBatchedCurve:
@@ -211,15 +213,15 @@ class TestBatchedCurve:
         times = np.arange(0.0, 6e-3 + 1e-12, 2e-5)
         for _ in range(SWEEP_CURVES):
             cset = CoherentSet(0.0, rng.uniform(1.0, 200.0))
-            params = StorageParams(
+            channel = store_channel(StorageParams(
                 coupling=rng.uniform(0.5, 1.5),
                 gain=rng.uniform(0.5, 1.5),
                 atom_var_x=rng.uniform(0.5, 1.0),
                 atom_var_p=rng.uniform(0.5, 1.0),
-            )
+            ))
             decay = DecayParams(rng.uniform(1e-3, 1e-2), rng.uniform(0.0, 1.0))
-            curve = fidelity_vs_time(cset, params, decay, times)
-            assert curve.tobytes() == per_point(cset, params, decay, times).tobytes()
+            curve = fidelity_vs_time(cset, channel, decay, times)
+            assert curve.tobytes() == per_point(cset, channel, decay, times).tobytes()
 
     def test_blocks_do_not_change_bytes(self, monkeypatch):
         times = np.arange(0.0, 6e-3 + 1e-12, 1e-5)  # 601 points, 97 does not divide

@@ -4,7 +4,7 @@ Independent oracles used here: a Wigner-function grid integral for the
 two-state overlap, a brute-force 2-d quadrature for the set averages
 (``average_fidelity_grid``), and a golden-section search for the gain
 optimum.  ``average_fidelity_scalar`` is the one-channel quadrature
-written with scalars, which the batched one must match byte for byte.
+written with scalars, which a one-channel call must match byte for byte.
 """
 
 import numpy as np
@@ -237,12 +237,23 @@ class TestAverageFidelity:
         gains = rng.uniform(0.0, 1.5, (2, 50))
         variances = rng.uniform(0.3, 3.0, (2, 50))
         cset = CoherentSet(0, 100)
-        batch = fidelity.average_fidelities(cset, *gains, *variances)
+        batch = average_fidelity(cset, ChannelSummary(*gains, *variances))
         single = [
             average_fidelity(cset, ChannelSummary(*g, *var))
             for g, var in zip(gains.T, variances.T)
         ]
         assert batch.tobytes() == np.array(single).tobytes()
+
+    def test_batch_keeps_its_shape(self):
+        rng = np.random.default_rng(15)
+        gains, variances = rng.uniform(0.0, 1.5, (2, 2, 3)), rng.uniform(0.3, 3.0, (2, 2, 3))
+        cset = CoherentSet(0, 8)
+        grid = average_fidelity(cset, ChannelSummary(*gains, *variances))
+        flat = average_fidelity(
+            cset, ChannelSummary(*gains.reshape(2, -1), *variances.reshape(2, -1))
+        )
+        assert grid.shape == (2, 3)
+        assert grid.tobytes() == flat.tobytes()
 
     @pytest.mark.parametrize("gains", [(1e200, 1.0), (1.0, -1e160)])
     def test_overflowing_exponent_names_gains(self, gains):
@@ -273,16 +284,16 @@ class TestAverageFidelity:
 class TestClassicalFidelity:
     def test_unit_gain_limit(self):
         for n_max in (1.0, 4.0, 8.0, 100.0):
-            assert classical_fidelity(1.0, 0, n_max) == pytest.approx(
+            assert classical_fidelity(1.0, CoherentSet(0, n_max)) == pytest.approx(
                 0.5, abs=1e-12
             )
         # approaching the limit smoothly
-        assert classical_fidelity(1 - 1e-9, 0, 8) == pytest.approx(
+        assert classical_fidelity(1 - 1e-9, CoherentSet(0, 8)) == pytest.approx(
             0.5, abs=1e-6
         )
 
     def test_printed_anchor_gain_0809(self):
-        assert classical_fidelity(0.809, 0, 8) == pytest.approx(
+        assert classical_fidelity(0.809, CoherentSet(0, 8)) == pytest.approx(
             0.554, abs=5e-4
         )
 
@@ -291,52 +302,51 @@ class TestClassicalFidelity:
         # arbitration for the printed-formula exponent factor: the closed
         # form must integrate the printed overlap function exactly
         for n_min, n_max in ((0, 8), (0, 4), (1, 6)):
-            assert classical_fidelity(gain, n_min, n_max) == pytest.approx(
+            assert classical_fidelity(gain, CoherentSet(n_min, n_max)) == pytest.approx(
                 classical_fidelity_quadrature(gain, n_min, n_max), abs=1e-6
             )
 
     def test_single_amplitude_limit(self):
         g, n = 0.7, 3.0
         eps = 1e-7
-        value = classical_fidelity(g, n - eps, n + eps)
+        value = classical_fidelity(g, CoherentSet(n - eps, n + eps))
         assert value == pytest.approx(
             classical_overlap_printed(g, 2.0 * n), rel=1e-6
         )
 
     def test_invalid_range(self):
         with pytest.raises(ValueError):
-            classical_fidelity(0.8, 4, 4)
+            classical_fidelity(0.8, CoherentSet(4, 4))
         with pytest.raises(ValueError):
-            classical_fidelity(0.8, -1, 4)
+            classical_fidelity(0.8, CoherentSet(-1, 4))
 
 
 class TestGainOptimization:
     def test_set_zero_to_eight(self):
-        g_opt, f_max = optimize_classical_gain(0, 8)
+        g_opt, f_max = optimize_classical_gain(CoherentSet(0, 8))
         assert g_opt == pytest.approx(0.809, abs=0.005)
         assert f_max == pytest.approx(0.554, abs=0.002)
 
     def test_set_zero_to_four(self):
-        g_opt, f_max = optimize_classical_gain(0, 4)
+        g_opt, f_max = optimize_classical_gain(CoherentSet(0, 4))
         assert f_max == pytest.approx(0.596, abs=0.002)
         assert g_opt == pytest.approx(0.70, abs=0.02)
 
     @pytest.mark.parametrize("n_max", [2.0, 8.0, 20.0])
     def test_against_golden_section(self, n_max):
-        g_opt, _ = optimize_classical_gain(0, n_max)
-        oracle = golden_section_max(
-            lambda g: classical_fidelity(g, 0, n_max), 1e-9, 1.0
-        )
+        cset = CoherentSet(0, n_max)
+        g_opt, _ = optimize_classical_gain(cset)
+        oracle = golden_section_max(lambda g: classical_fidelity(g, cset), 1e-9, 1.0)
         assert g_opt == pytest.approx(oracle, abs=1e-6)
 
     def test_maximum_decreases_with_set_size(self):
         values = [
-            optimize_classical_gain(0, n_max)[1]
+            optimize_classical_gain(CoherentSet(0, n_max))[1]
             for n_max in (1, 2, 4, 8, 16, 64, 256)
         ]
         assert np.all(np.diff(values) < 0)
         assert values[-1] > 0.5  # approaches 1/2 from above
-        assert optimize_classical_gain(0, 4000)[1] == pytest.approx(
+        assert optimize_classical_gain(CoherentSet(0, 4000))[1] == pytest.approx(
             0.5, abs=0.01
         )
 
@@ -344,7 +354,7 @@ class TestGainOptimization:
         # the closed form overflows from n_max about 4263; the minimiser once
         # returned inf here, with numpy warnings on the way
         with pytest.raises(FloatingPointError, match=r"photon numbers \[0, 4300\]"):
-            optimize_classical_gain(0, 4300)
+            optimize_classical_gain(CoherentSet(0, 4300))
         assert not recwarn.list
 
 

@@ -242,11 +242,10 @@ class TestDemodulation:
         assert abs(k2 - k1) / k1 < 1e-3
 
     def test_leakage_scales_inversely_with_phase(self):
-        rows = omega_t_sweep(pinned_phase_omega_t(), bins=2048)
-        logs = np.log([r["sine_leakage"] for r in rows])
-        logw = np.log([r["omega_t"] for r in rows])
+        sweep = omega_t_sweep(pinned_phase_omega_t(), bins=2048)
+        logs = np.log(sweep["sine_leakage"])
+        logw = np.log(sweep["omega_t"])
         slope = np.polyfit(logw, logs, 1)[0]
         assert slope == pytest.approx(-1.0, abs=0.15)
         # the effective coupling stays pinned to the target meanwhile
-        for r in rows:
-            assert abs(r["coupling_effective"] - 1.0) < 0.05
+        assert np.all(np.abs(sweep["coupling_effective"] - 1.0) < 0.05)

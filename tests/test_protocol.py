@@ -1,5 +1,7 @@
 """Protocol tests: storage, readout, verification, reverse retrieval."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -69,6 +71,19 @@ class TestStorageParams:
     def test_channel_variances_positive(self):
         with pytest.raises(ValueError):
             ChannelSummary(1.0, 1.0, 0.0, 0.5)
+
+    def test_zero_var_p_rejected_alone_and_in_a_batch(self):
+        with pytest.raises(ValueError, match="channel variances must be positive"):
+            ChannelSummary(1.0, 1.0, 0.5, 0.0)
+        ones = np.ones(3)
+        with pytest.raises(ValueError, match="channel variances must be positive"):
+            ChannelSummary(ones, ones, ones, np.array([0.5, 0.0, 0.5]))
+
+    def test_batch_reports_its_first_bad_entry(self):
+        ones = np.ones(3)
+        with pytest.raises(ValueError, match="var_x must be finite, got inf"):
+            ChannelSummary(ones, np.array([1.0, 1.0, np.nan]), np.array([1.0, np.inf, 1.0]),
+                           ones)
 
 
 class TestInteractionMap:
@@ -785,6 +800,12 @@ class TestReconstruction:
     def test_zero_coupling_rejected(self):
         with pytest.raises(ValueError):
             reconstruct_atomic_variance(1.0, 0.0)
+
+    @pytest.mark.parametrize("readout_var", [0.5, 0.9])
+    def test_nonnegative_value_gives_no_warning(self, readout_var):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert reconstruct_atomic_variance(readout_var, 1.0) >= 0.0
 
     def test_negative_value_reported_with_warning(self):
         with pytest.warns(UserWarning, match="negative"):

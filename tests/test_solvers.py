@@ -21,7 +21,7 @@ from qmemsim.fidelity import (
     classical_fidelity,
     optimize_classical_gain,
 )
-from qmemsim.protocol import StorageParams
+from qmemsim.protocol import StorageParams, store_channel
 
 
 def same_bytes(a, b):
@@ -110,9 +110,10 @@ class TestMinimizeBounded:
         if not n_max > n_min:
             n_max = np.nextafter(n_min, np.inf)
         xatol = 10.0**log_xatol
+        cset = CoherentSet(n_min, n_max)
 
         def f(g):
-            return -classical_fidelity(g, n_min, n_max)
+            return -classical_fidelity(g, cset)
 
         x, fun = _solvers.minimize_bounded(f, 1e-9, 1.0, xatol)
         result = optimize.minimize_scalar(
@@ -124,7 +125,7 @@ class TestMinimizeBounded:
     def test_nan_objective_matches_scipy(self):
         # an overflowing set makes the objective NaN at most gains
         def f(g):
-            return -classical_fidelity(g, 0.0, 1e12)
+            return -classical_fidelity(g, CoherentSet(0.0, 1e12))
 
         x, fun = _solvers.minimize_bounded(f, 1e-9, 1.0, 1e-9)
         result = optimize.minimize_scalar(
@@ -174,10 +175,10 @@ class TestBrentq:
     def test_calibrate_tau_gap_matches_scipy(self, crossing, excess):
         # scipy on the gap, bracket and tolerances that calibrate_tau passes
         cset = CoherentSet(0.0, 10.0)
-        _, f_class = optimize_classical_gain(cset.n_min, cset.n_max)
+        _, f_class = optimize_classical_gain(cset)
         with mock.patch.object(decoherence, "brentq", wraps=_solvers.brentq) as spy:
             decay = decoherence.calibrate_tau(
-                cset, StorageParams(), crossing, excess, f_class=f_class
+                cset, store_channel(StorageParams()), crossing, excess, f_class=f_class
             )
         spy.assert_called_once()
         (gap, lo, hi), tolerances = spy.call_args
